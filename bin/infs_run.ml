@@ -14,51 +14,7 @@ module E = Infinity_stream.Engine
 module R = Infinity_stream.Report
 module WL = Infinity_stream.Workload
 module Cat = Infs_workloads.Catalog
-
-let all_workloads scale =
-  let entries =
-    match scale with `Paper -> Cat.table3 () | `Test -> Cat.test_scale ()
-  in
-  Cat.all_variants entries
-  @ [
-      ("vec_add", Infs_workloads.Micro.vec_add
-         ~n:(match scale with `Paper -> 4_194_304 | `Test -> 16_384));
-      ("array_sum", Infs_workloads.Micro.array_sum
-         ~n:(match scale with `Paper -> 4_194_304 | `Test -> 16_384));
-      ("pointnet/ssg",
-        (match scale with
-        | `Paper -> Infs_workloads.Pointnet.ssg ()
-        | `Test -> Infs_workloads.Pointnet.tiny ()));
-      ("pointnet/msg",
-        (match scale with
-        | `Paper -> Infs_workloads.Pointnet.msg ()
-        | `Test -> Infs_workloads.Pointnet.tiny ()));
-    ]
-
-(* sorted, so batch scripts can diff the list across versions *)
-let workload_names scale =
-  List.sort String.compare (List.map fst (all_workloads scale))
-
-let find_workload scale name =
-  let wl = all_workloads scale in
-  match List.assoc_opt name wl with
-  | Some w -> Ok w
-  | None ->
-    Error
-      (Printf.sprintf "unknown workload %s; available: %s" name
-         (String.concat ", " (workload_names scale)))
-
-(* same bar as the engine test suite's end-to-end correctness checks *)
-let functional_tolerance = 1e-3
-
-let paradigm_of_string = function
-  | "base1" | "base-1" -> Ok E.Base_1
-  | "base" -> Ok E.Base
-  | "near" | "near-l3" -> Ok E.Near_l3
-  | "in-l3" | "inl3" -> Ok E.In_l3
-  | "inf-s" | "infs" -> Ok E.Inf_s
-  | "inf-s-nojit" | "nojit" -> Ok E.Inf_s_nojit
-  | s -> Error (Printf.sprintf "unknown paradigm %s" s)
+module Spec = Infs_workloads.Spec
 
 let print_report (r : R.t) =
   Format.printf "%a@." R.pp r;
@@ -184,7 +140,7 @@ let faults_arg =
            byte-identical reports at any --jobs count.")
 
 let list_cmd =
-  let run scale = List.iter print_endline (workload_names scale) in
+  let run scale = List.iter print_endline (Cat.names scale) in
   Cmd.v (Cmd.info "list" ~doc:"list available workloads (sorted)")
     Term.(const run $ scale_arg)
 
@@ -227,7 +183,7 @@ let tuned_of_file file wname =
 let run_cmd =
   let run scale wname pname functional trace_file trace_format metrics_file
       prof_file faults explain tuned_file =
-    match (find_workload scale wname, paradigm_of_string pname) with
+    match (Cat.find scale wname, E.paradigm_of_string pname) with
     | Error e, _ | _, Error e ->
       prerr_endline e;
       exit 1
@@ -291,10 +247,10 @@ let run_cmd =
         (* batch scripts rely on the exit status: a functional mismatch
            against the golden model is a failure, not a report footnote *)
         (match r.R.correctness with
-        | `Checked err when err > functional_tolerance ->
+        | `Checked err when err > Spec.functional_tolerance ->
           Printf.eprintf
             "error: functional mismatch: max error %.3e exceeds tolerance %.0e\n"
-            err functional_tolerance;
+            err Spec.functional_tolerance;
           exit 1
         | _ -> ()))
   in
@@ -326,7 +282,7 @@ let run_cmd =
 
 let compile_cmd =
   let run scale wname =
-    match find_workload scale wname with
+    match Cat.find scale wname with
     | Error e ->
       prerr_endline e;
       exit 1
@@ -367,7 +323,7 @@ let compile_cmd =
 
 let lower_cmd =
   let run scale wname kname =
-    match find_workload scale wname with
+    match Cat.find scale wname with
     | Error e ->
       prerr_endline e;
       exit 1
@@ -471,224 +427,6 @@ let lower_cmd =
    quantities, so `--jobs N` output is byte-identical to `--jobs 1`;
    wall-clock and compile-cache statistics go to stderr. *)
 
-type batch_spec = {
-  sp_workload : string;
-  sp_paradigm : string;
-  sp_functional : bool;
-  sp_optimize : bool;
-  sp_warm : bool;
-  sp_pre_transposed : bool;
-  sp_charge_jit : bool;
-  sp_tile : int array option;
-  sp_policy : Decision.policy;
-  sp_timeout : float option;
-  sp_faults : Fault.spec option;  (* None: use the batch-wide --faults *)
-}
-
-let spec_of_json j =
-  let bool_field name default =
-    match Json.member name j with
-    | None -> Ok default
-    | Some v -> (
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %s must be a boolean" name))
-  in
-  match Option.bind (Json.member "workload" j) Json.to_str with
-  | None -> Error "spec needs a \"workload\" string field"
-  | Some sp_workload -> (
-    let sp_paradigm =
-      Option.value ~default:"inf-s"
-        (Option.bind (Json.member "paradigm" j) Json.to_str)
-    in
-    let tile =
-      match Json.member "tile" j with
-      | None -> Ok None
-      | Some v -> (
-        match Option.map (List.map Json.to_int) (Json.to_list v) with
-        | Some ints when List.for_all Option.is_some ints ->
-          Ok (Some (Array.of_list (List.map Option.get ints)))
-        | _ -> Error "field tile must be an array of integers")
-    in
-    let timeout =
-      match Json.member "timeout_s" j with
-      | None -> Ok None
-      | Some v -> (
-        match Json.to_num v with
-        | Some f when f > 0.0 -> Ok (Some f)
-        | _ -> Error "field timeout_s must be a positive number")
-    in
-    (* "eq2": either a single override string applied to every kernel, or
-       an object of per-kernel overrides with "*" as the default — the
-       spec-level encoding of a tuned decision table *)
-    let policy =
-      match Json.member "eq2" j with
-      | None -> Ok Decision.Heuristic
-      | Some (Json.Str s) -> (
-        match Decision.override_of_string s with
-        | Ok Decision.Auto -> Ok Decision.Heuristic
-        | Ok ov -> Ok (Decision.Tuned { default = ov; per_kernel = [] })
-        | Error e -> Error ("field eq2: " ^ e))
-      | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            Result.bind acc (fun (default, per_kernel) ->
-                match Option.map Decision.override_of_string (Json.to_str v) with
-                | Some (Ok ov) ->
-                  if k = "*" then Ok (ov, per_kernel)
-                  else Ok (default, (k, ov) :: per_kernel)
-                | Some (Error e) -> Error ("field eq2: " ^ e)
-                | None -> Error "field eq2: overrides must be strings"))
-          (Ok (Decision.Auto, []))
-          kvs
-        |> Result.map (fun (default, per_kernel) ->
-               Decision.Tuned
-                 { default; per_kernel = List.sort compare per_kernel })
-      | Some _ -> Error "field eq2 must be a string or an object"
-    in
-    let faults =
-      match Json.member "faults" j with
-      | None -> Ok None
-      | Some v -> (
-        match Json.to_str v with
-        | None -> Error "field faults must be a spec string"
-        | Some s -> (
-          match Fault.parse s with
-          | Ok sp -> Ok (Some sp)
-          | Error e -> Error ("field faults: " ^ e)))
-    in
-    match
-      ( bool_field "functional" false,
-        bool_field "optimize" true,
-        bool_field "warm" false,
-        bool_field "pre_transposed" false,
-        bool_field "charge_jit" true,
-        tile,
-        policy,
-        timeout,
-        faults )
-    with
-    | ( Ok sp_functional,
-        Ok sp_optimize,
-        Ok sp_warm,
-        Ok sp_pre_transposed,
-        Ok sp_charge_jit,
-        Ok sp_tile,
-        Ok sp_policy,
-        Ok sp_timeout,
-        Ok sp_faults ) ->
-      Ok
-        {
-          sp_workload;
-          sp_paradigm;
-          sp_functional;
-          sp_optimize;
-          sp_warm;
-          sp_pre_transposed;
-          sp_charge_jit;
-          sp_tile;
-          sp_policy;
-          sp_timeout;
-          sp_faults;
-        }
-    | (Error _ as e), _, _, _, _, _, _, _, _
-    | _, (Error _ as e), _, _, _, _, _, _, _
-    | _, _, (Error _ as e), _, _, _, _, _, _
-    | _, _, _, (Error _ as e), _, _, _, _, _
-    | _, _, _, _, (Error _ as e), _, _, _, _
-    | _, _, _, _, _, (Error _ as e), _, _, _
-    | _, _, _, _, _, _, (Error _ as e), _, _
-    | _, _, _, _, _, _, _, (Error _ as e), _
-    | _, _, _, _, _, _, _, _, (Error _ as e) -> e)
-
-(* Each job re-resolves its workload from the catalog, so jobs never share
-   mutable workload state (notably the lazy input arrays) across domains;
-   compiled fat binaries are shared through the engine's compile cache.
-   With [with_metrics] each job owns a fresh registry (registries are
-   single-domain) and returns its snapshot as JSON; the snapshot holds only
-   simulated quantities, so report lines stay byte-identical across
-   [--jobs] settings. [with_prof] likewise gives the job a private span
-   profiler (returned for the caller to merge in submission order). *)
-let exec_spec scale ~with_metrics ?(with_prof = false) ~faults
-    (spec : batch_spec) =
-  match
-    (find_workload scale spec.sp_workload, paradigm_of_string spec.sp_paradigm)
-  with
-  | Error e, _ | _, Error e -> Error e
-  | Ok w, Ok p -> (
-    let metrics = if with_metrics then Metrics.create () else Metrics.null in
-    let prof = if with_prof then Prof.create () else Prof.null in
-    let options =
-      {
-        E.default_options with
-        functional = spec.sp_functional;
-        optimize = spec.sp_optimize;
-        warm_data = spec.sp_warm;
-        pre_transposed = spec.sp_pre_transposed;
-        charge_jit = spec.sp_charge_jit;
-        tile_override = spec.sp_tile;
-        decision_policy = spec.sp_policy;
-        share_compile = true;
-        metrics;
-        prof;
-        faults = (match spec.sp_faults with Some f -> f | None -> faults);
-      }
-    in
-    match E.run ~options p w with
-    | Error e -> Error e
-    | Ok r ->
-      (* Fault mitigation guarantees a correct functional result; a
-         mismatch under an armed fault model means mitigation fell short —
-         surface it as the pool's structured Degraded outcome (never
-         retried: the seeded model would re-derive it) rather than a
-         crash or a silent wrong answer. *)
-      (match (r.R.faults, r.R.correctness) with
-      | Some _, `Checked err when err > functional_tolerance ->
-        raise
-          (Pool.Degradation
-             (Printf.sprintf
-                "functional mismatch under faults: max error %.3e exceeds %.0e"
-                err functional_tolerance))
-      | _ -> ());
-      let mj =
-        if with_metrics then
-          (* whether THIS job hit the process-wide compile cache depends
-             on pool scheduling, not on the job — keep those series out
-             of the line or --jobs would change the bytes *)
-          Some
-            (Metrics.to_json
-               (List.filter
-                  (fun (s : Metrics.series) ->
-                    s.Metrics.name <> "compile_cache.hits"
-                    && s.Metrics.name <> "compile_cache.misses")
-                  (Metrics.snapshot metrics)))
-        else None
-      in
-      Ok (r, mj, prof))
-
-let batch_paradigm_names = [ "base1"; "base"; "near-l3"; "in-l3"; "inf-s"; "inf-s-nojit" ]
-
-let matrix_specs scale =
-  List.concat_map
-    (fun wname ->
-      List.map
-        (fun pname -> Ok (Printf.sprintf "%s x %s" wname pname,
-          {
-            sp_workload = wname;
-            sp_paradigm = pname;
-            sp_functional = false;
-            sp_optimize = true;
-            sp_warm = false;
-            sp_pre_transposed = false;
-            sp_charge_jit = true;
-            sp_tile = None;
-            sp_policy = Decision.Heuristic;
-            sp_timeout = None;
-            sp_faults = None;
-          }))
-        batch_paradigm_names)
-    (workload_names scale)
-
 let read_spec_lines ic =
   let rec go acc lineno =
     match input_line ic with
@@ -702,7 +440,7 @@ let read_spec_lines ic =
           match Json.parse t with
           | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
           | Ok j -> (
-            match spec_of_json j with
+            match Spec.of_json j with
             | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
             | Ok s -> Ok (Printf.sprintf "line %d" lineno, s))
         in
@@ -714,7 +452,7 @@ let batch_cmd =
   let run scale jobs spec_file matrix timeout_s out_file metrics_file
       prof_file meta_commit faults job_retries =
     let specs =
-      if matrix then matrix_specs scale
+      if matrix then List.map Result.ok (Spec.matrix scale)
       else
         match spec_file with
         | None | Some "-" -> read_spec_lines stdin
@@ -760,12 +498,12 @@ let batch_cmd =
               | Error e -> `Bad e
               | Ok (_, sp) ->
                 let timeout_s =
-                  match sp.sp_timeout with Some t -> Some t | None -> timeout_s
+                  match sp.Spec.timeout_s with Some t -> Some t | None -> timeout_s
                 in
                 `Job
                   (Pool.submit pool ~retries:job_retries ~backoff_s:0.01
                      ?timeout_s (fun () ->
-                       exec_spec scale
+                       Spec.exec scale
                          ~with_metrics:(metrics_file <> None)
                          ~with_prof:(prof_file <> None) ~faults sp)))
             specs
@@ -808,17 +546,7 @@ let batch_cmd =
     Option.iter
       (fun f ->
         let m = Metrics.create () in
-        let st = Pool.stats pool in
-        Metrics.gauge_add m "pool.wall_s" st.Pool.wall_s;
-        Array.iteri
-          (fun i (jobs_run, busy_s) ->
-            let labels = [ ("worker", string_of_int i) ] in
-            Metrics.incr m ~labels "pool.worker.jobs"
-              (float_of_int jobs_run);
-            Metrics.gauge_add m ~labels "pool.worker.busy_s" busy_s;
-            Metrics.gauge_add m ~labels "pool.worker.busy_frac"
-              (busy_s /. Float.max 1e-9 st.Pool.wall_s))
-          st.Pool.workers;
+        Pool.metrics_into pool m;
         try Metrics.write_file m f
         with Sys_error e ->
           prerr_endline ("error: cannot write metrics file: " ^ e);
@@ -939,7 +667,7 @@ let batch_cmd =
 let tune_cmd =
   let run scale wnames all budget jobs out_file cache_file =
     let names =
-      if all then workload_names scale
+      if all then Cat.names scale
       else
         match wnames with
         | [] ->
@@ -973,7 +701,7 @@ let tune_cmd =
     let failures = ref 0 in
     List.iter
       (fun name ->
-        match find_workload scale name with
+        match Cat.find scale name with
         | Error e ->
           incr failures;
           prerr_endline ("error: " ^ e)
@@ -981,7 +709,7 @@ let tune_cmd =
           (* each scoring job re-resolves the workload from the catalog so
              jobs never share lazy input state across domains *)
           let resolve () =
-            match find_workload scale name with
+            match Cat.find scale name with
             | Ok w -> w
             | Error e -> failwith e
           in
@@ -1064,9 +792,10 @@ let tune_cmd =
 (* ---------- serve: persistent request server over the pool ----------
 
    Same JSON-lines job format as `batch`, but long-lived: clients connect
-   to a Unix-domain socket, write one spec per line and read one response
-   line per request. The process-wide compile cache stays warm across
-   requests. `--client` turns the binary into the load generator. *)
+   to a Unix-domain socket (or loopback TCP), write one spec per line and
+   read one response line per request. The process-wide compile cache
+   stays warm across requests. `--client` turns the binary into the load
+   generator. *)
 
 let serve_cmd =
   let run scale socket client jobs queue_depth timeout_s metrics_file
@@ -1144,13 +873,7 @@ let serve_cmd =
               let direct =
                 match Json.parse body_line with
                 | Error e -> Error ("parse: " ^ e)
-                | Ok j -> (
-                  match spec_of_json j with
-                  | Error e -> Error e
-                  | Ok sp -> (
-                    match exec_spec scale ~with_metrics:false ~faults sp with
-                    | Error e -> Error e
-                    | Ok (rep, _, _) -> Ok (Json.to_string (R.to_json rep))))
+                | Ok j -> Result.map Json.to_string (Spec.handler scale ~faults j)
               in
               match direct with
               | Error e ->
@@ -1200,6 +923,48 @@ let serve_cmd =
         | Some oc -> Trace.to_channel Trace.Jsonl oc
         | None -> Trace.null
       in
+      let cfg =
+        {
+          (Serve.default_config ~socket_path:socket) with
+          tcp_port;
+          queue_depth;
+          tenant_quota;
+          default_timeout_s = timeout_s;
+          metrics_path = metrics_file;
+          trace;
+          prof = (if prof_file = None then Prof.null else Prof.create ());
+          (* a front's shards write F.shard<i>; the front itself F.front *)
+          prof_path =
+            (if shards > 0 then Option.map (fun f -> f ^ ".front") prof_file
+             else prof_file);
+        }
+      in
+      let or_exit = function
+        | Ok v -> v
+        | Error e ->
+          prerr_endline ("error: " ^ e);
+          exit 1
+      in
+      (* graceful drain on SIGTERM/SIGINT: request_stop only sets a flag,
+         so it is safe inside the handler *)
+      let on_signals request_stop =
+        List.iter
+          (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> request_stop ())))
+          [ Sys.sigterm; Sys.sigint ]
+      in
+      let listening what =
+        Printf.eprintf "serve: %slistening on %s%s (%s, queue depth %d)\n%!"
+          (if shards > 0 then "front " else "")
+          socket
+          (match tcp_port with
+          | Some p -> Printf.sprintf " and tcp:127.0.0.1:%d" p
+          | None -> "")
+          what cfg.Serve.queue_depth
+      in
+      let close_trace () =
+        Trace.close trace;
+        Option.iter close_out toc
+      in
       if shards > 0 then begin
         (* sharded front tier: N child serve processes, each with its own
            pool and warm compile cache, behind a consistent-hash router *)
@@ -1226,118 +991,52 @@ let serve_cmd =
             | Some f -> [ "--prof"; Printf.sprintf "%s.shard%d" f i ]
             | None -> [])
         in
-        let cfg =
-          {
-            (Shard.default_config ~socket_path:socket ~shards
-               ~backend:(Shard.Proc argv_of))
-            with
-            tcp_port;
-            queue_depth;
-            tenant_quota;
-            redispatch_max;
-            heartbeat_s;
-            default_timeout_s = timeout_s;
-            metrics_path = metrics_file;
-            trace;
-            prof = (if prof_file = None then Prof.null else Prof.create ());
-            prof_path = Option.map (fun f -> f ^ ".front") prof_file;
-          }
+        let t =
+          or_exit (Shard.start cfg ~shards ~redispatch_max ?heartbeat_s (Shard.Proc argv_of))
         in
-        match Shard.start cfg with
-        | Error e ->
-          prerr_endline ("error: " ^ e);
+        on_signals (fun () -> Shard.request_stop t);
+        (* pid lines let a soak harness kill a specific shard mid-run *)
+        List.iteri
+          (fun i pid ->
+            Option.iter (Printf.eprintf "serve: shard %d pid %d\n%!" i) pid)
+          (Shard.shard_pids t);
+        listening (Printf.sprintf "%d shards" shards);
+        let st = Shard.wait t in
+        close_trace ();
+        Printf.eprintf
+          "serve: front drained: %d connection%s, %d received, %d admitted, \
+           %d answered, %d shed (%d depth, %d quota, %d priority), %d bad, \
+           routes %d hot / %d cold / %d moved, %d redispatched, %d lost, %d \
+           crash%s, %d respawn%s, %d drained\n%!"
+          st.Shard.connections
+          (if st.Shard.connections = 1 then "" else "s")
+          st.Shard.received st.Shard.admitted st.Shard.answered
+          (Shard.shed_total st) st.Shard.shed st.Shard.shed_quota
+          st.Shard.shed_priority st.Shard.bad st.Shard.route_hot
+          st.Shard.route_cold st.Shard.route_moved st.Shard.redispatched
+          st.Shard.lost st.Shard.crashes
+          (if st.Shard.crashes = 1 then "" else "es")
+          st.Shard.respawns
+          (if st.Shard.respawns = 1 then "" else "s")
+          st.Shard.drained;
+        (* a clean drain answers every admitted request, none of them
+           via the re-dispatch-exhausted error path *)
+        if st.Shard.lost > 0 || st.Shard.answered <> st.Shard.admitted then begin
+          prerr_endline
+            "serve: error: front drain lost or left admitted requests \
+             unanswered";
           exit 1
-        | Ok t ->
-          List.iter
-            (fun s ->
-              Sys.set_signal s
-                (Sys.Signal_handle (fun _ -> Shard.request_stop t)))
-            [ Sys.sigterm; Sys.sigint ];
-          (* pid lines let a soak harness kill a specific shard mid-run *)
-          List.iteri
-            (fun i pid ->
-              match pid with
-              | Some pid -> Printf.eprintf "serve: shard %d pid %d\n%!" i pid
-              | None -> ())
-            (Shard.shard_pids t);
-          Printf.eprintf
-            "serve: front listening on %s%s (%d shards, queue depth %d)\n%!"
-            socket
-            (match tcp_port with
-            | Some p -> Printf.sprintf " and tcp:127.0.0.1:%d" p
-            | None -> "")
-            shards queue_depth;
-          let st = Shard.wait t in
-          Trace.close trace;
-          Option.iter close_out toc;
-          Printf.eprintf
-            "serve: front drained: %d connection%s, %d received, %d admitted, \
-             %d answered, %d shed (%d depth, %d quota, %d priority), %d bad, \
-             routes %d hot / %d cold / %d moved, %d redispatched, %d lost, %d \
-             crash%s, %d respawn%s, %d drained\n%!"
-            st.Shard.connections
-            (if st.Shard.connections = 1 then "" else "s")
-            st.Shard.received st.Shard.admitted st.Shard.answered
-            (Shard.shed_total st) st.Shard.shed st.Shard.shed_quota
-            st.Shard.shed_priority st.Shard.bad st.Shard.route_hot
-            st.Shard.route_cold st.Shard.route_moved st.Shard.redispatched
-            st.Shard.lost st.Shard.crashes
-            (if st.Shard.crashes = 1 then "" else "es")
-            st.Shard.respawns
-            (if st.Shard.respawns = 1 then "" else "s")
-            st.Shard.drained;
-          (* a clean drain answers every admitted request, none of them
-             via the re-dispatch-exhausted error path *)
-          if st.Shard.lost > 0 || st.Shard.answered <> st.Shard.admitted
-          then begin
-            prerr_endline
-              "serve: error: front drain lost or left admitted requests \
-               unanswered";
-            exit 1
-          end
+        end
       end
       else begin
-      let jobs =
-        match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs ()
-      in
-      let cfg =
-        {
-          (Serve.default_config ~socket_path:socket) with
-          jobs;
-          queue_depth;
-          default_timeout_s = timeout_s;
-          metrics_path = metrics_file;
-          trace;
-          prof = (if prof_file = None then Prof.null else Prof.create ());
-          prof_path = prof_file;
-        }
-      in
-      let handler j =
-        match spec_of_json j with
-        | Error e -> Error e
-        | Ok sp -> (
-          match exec_spec scale ~with_metrics:false ~faults sp with
-          | Error e -> Error e
-          | Ok (r, _, _) -> Ok (R.to_json r))
-      in
-      match Serve.start cfg ~handler with
-      | Error e ->
-        prerr_endline ("error: " ^ e);
-        exit 1
-      | Ok t ->
-        (* graceful drain on SIGTERM/SIGINT: request_stop only sets a
-           flag, so it is safe inside the handler *)
-        List.iter
-          (fun s ->
-            Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.request_stop t)))
-          [ Sys.sigterm; Sys.sigint ];
-        Printf.eprintf "serve: listening on %s (%d worker%s, queue depth %d)\n%!"
-          socket jobs
-          (if jobs = 1 then "" else "s")
-          cfg.Serve.queue_depth;
+        let jobs =
+          match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs ()
+        in
+        let t = or_exit (Serve.start cfg (Serve.local ~jobs (Spec.handler scale ~faults))) in
+        on_signals (fun () -> Serve.request_stop t);
+        listening (Printf.sprintf "%d worker%s" jobs (if jobs = 1 then "" else "s"));
         let st = Serve.wait t in
-        Trace.close trace;
-        Option.iter close_out toc;
+        close_trace ();
         Printf.eprintf
           "serve: drained: %d connection%s, %d received, %d admitted (%d ok, \
            %d failed, %d timeout, %d degraded, %d cancelled), %d shed, %d \
@@ -1345,7 +1044,9 @@ let serve_cmd =
           st.Serve.connections
           (if st.Serve.connections = 1 then "" else "s")
           st.received st.admitted st.ok st.failed st.deadline_exceeded
-          st.degraded st.cancelled st.shed st.bad st.drained;
+          st.degraded st.cancelled
+          (st.shed + st.shed_quota + st.shed_priority)
+          st.bad st.drained;
         (* a graceful drain answers every admitted request and cancels none *)
         if st.cancelled > 0 || Serve.answered st <> st.admitted then begin
           prerr_endline "serve: error: drain left admitted requests unanswered";
@@ -1377,9 +1078,7 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "tcp" ] ~docv:"PORT"
-          ~doc:
-            "server with --shards: additionally listen on loopback TCP \
-             port $(docv)")
+          ~doc:"server: additionally listen on loopback TCP port $(docv)")
   in
   let tenant_quota_arg =
     Arg.(
@@ -1387,8 +1086,8 @@ let serve_cmd =
       & opt (some int) None
       & info [ "tenant-quota" ] ~docv:"N"
           ~doc:
-            "front tier: max concurrent in-flight requests per distinct \
-             tenant field; beyond it requests are shed as overloaded")
+            "server: max concurrent in-flight requests per distinct tenant \
+             field; beyond it requests are shed as overloaded")
   in
   let redispatch_arg =
     Arg.(
@@ -1509,11 +1208,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "serve the JSON-lines job format persistently over a Unix-domain \
-          socket (bounded admission, per-request deadlines, graceful drain \
-          on SIGTERM), optionally as a sharded front tier (--shards N) with \
-          cache-affine consistent-hash routing, per-tenant quotas, priority \
-          shedding, crash re-dispatch and TCP ingress; --client runs a \
-          pacing load generator and reports p50/p95/p99 latency")
+          socket and optionally loopback TCP (bounded admission with \
+          per-tenant quotas and priority shedding, per-request deadlines, \
+          graceful drain on SIGTERM), optionally as a sharded front tier \
+          (--shards N) with cache-affine consistent-hash routing and crash \
+          re-dispatch; --client runs a pacing load generator and reports \
+          p50/p95/p99 latency")
     Term.(
       const run $ scale_arg $ socket_arg $ client_arg $ jobs_arg $ queue_arg
       $ timeout_arg $ serve_metrics_arg $ trace_arg $ prof_arg $ faults_arg

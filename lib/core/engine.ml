@@ -10,6 +10,18 @@ let paradigm_to_string = function
 
 let all_paradigms = [ Base_1; Base; Near_l3; In_l3; Inf_s; Inf_s_nojit ]
 
+let paradigm_of_string = function
+  | "base1" | "base-1" -> Ok Base_1
+  | "base" -> Ok Base
+  | "near" | "near-l3" -> Ok Near_l3
+  | "in-l3" | "inl3" -> Ok In_l3
+  | "inf-s" | "infs" -> Ok Inf_s
+  | "inf-s-nojit" | "nojit" -> Ok Inf_s_nojit
+  | s -> (
+    match List.find_opt (fun p -> paradigm_to_string p = s) all_paradigms with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "unknown paradigm %s" s))
+
 type options = {
   cfg : Machine_config.t;
   functional : bool;

@@ -23,6 +23,12 @@ type paradigm = Base_1 | Base | Near_l3 | In_l3 | Inf_s | Inf_s_nojit
 val paradigm_to_string : paradigm -> string
 val all_paradigms : paradigm list
 
+val paradigm_of_string : string -> (paradigm, string) result
+(** The command-line names ([base1]/[base-1], [base], [near]/[near-l3],
+    [in-l3]/[inl3], [inf-s]/[infs], [inf-s-nojit]/[nojit]) and the
+    canonical {!paradigm_to_string} names; anything else is
+    ["unknown paradigm <s>"]. *)
+
 type options = {
   cfg : Machine_config.t;
   functional : bool;  (** compute & check values (use small sizes!) *)

@@ -303,7 +303,7 @@ let write_file t path =
   | Some _ ->
     let snap = snapshot t in
     let body =
-      if Filename.check_suffix path ".prom" then to_prom snap
+      if Side_file.has_ext path ".prom" then to_prom snap
       else Json.to_string (to_json snap) ^ "\n"
     in
     let oc = open_out path in

@@ -87,7 +87,9 @@ val to_prom : series list -> string
 
 val write_file : t -> string -> unit
 (** Write a snapshot to [path]; format chosen by extension ([.prom] →
-    Prometheus text, anything else → JSON). No-op on {!null}. *)
+    Prometheus text, anything else → JSON), looking through a trailing
+    [.shard<i>] / [.front] suffix ({!Side_file.has_ext}). No-op on
+    {!null}. *)
 
 (** {1 Event-shaped instrumentation}
 

@@ -269,6 +269,17 @@ let stats t =
 
 let ticker_ticks t = Atomic.get t.ticks
 
+let metrics_into t m =
+  let st = stats t in
+  Metrics.gauge_add m "pool.wall_s" st.wall_s;
+  Array.iteri
+    (fun i (jobs_run, busy_s) ->
+      let labels = [ ("worker", string_of_int i) ] in
+      Metrics.incr m ~labels "pool.worker.jobs" (float_of_int jobs_run);
+      Metrics.gauge_add m ~labels "pool.worker.busy_s" busy_s;
+      Metrics.gauge_add m ~labels "pool.worker.busy_frac" (busy_s /. Float.max 1e-9 st.wall_s))
+    st.workers
+
 (* Per-worker queue-wait vs busy time as profiler rows. Worker stats are
    worker-owned plain fields, so this must only run once the domains have
    joined ([shutdown] gives the happens-before edge); at that point the

@@ -74,6 +74,12 @@ val stats : t -> stats
     join publishes the workers' writes); on a live pool the values are
     advisory. Busy-fraction per worker is [busy_s /. wall_s]. *)
 
+val metrics_into : t -> Metrics.t -> unit
+(** Record {!stats} into a metrics registry: the [pool.wall_s] gauge and,
+    per worker (label [worker]), the [pool.worker.jobs] counter and the
+    [pool.worker.busy_s] / [pool.worker.busy_frac] gauges. Call after
+    {!shutdown}, when the figures are exact. *)
+
 val profile_into : t -> Prof.t -> unit
 (** Record per-worker utilization into a profiler registry: for each
     worker [i], paths [pool;worker<i>;busy] (time inside jobs) and

@@ -211,9 +211,9 @@ let to_folded t =
 let write_file t path =
   if t.enabled then begin
     let body =
-      if Filename.check_suffix path ".json" then
+      if Side_file.has_ext path ".json" then
         Json.to_string (to_json t) ^ "\n"
-      else if Filename.check_suffix path ".folded" then to_folded t
+      else if Side_file.has_ext path ".folded" then to_folded t
       else report t
     in
     let oc = open_out path in

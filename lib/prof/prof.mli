@@ -89,4 +89,6 @@ val to_folded : t -> string
 
 val write_file : t -> string -> unit
 (** Write a report to [path]; format chosen by extension ([.json] → JSON,
-    [.folded] → folded stacks, anything else → text). No-op on {!null}. *)
+    [.folded] → folded stacks, anything else → text), looking through a
+    trailing [.shard<i>] / [.front] suffix ({!Side_file.has_ext}). No-op
+    on {!null}. *)

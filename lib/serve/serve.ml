@@ -1,33 +1,35 @@
-(* Persistent request server over the domain pool.
+(* The one connection loop behind both serving modes.
 
-   Thread/domain layout: the listening socket is drained by one accept
-   thread; each connection gets a reader thread (parse + admission +
-   pool submission) and a writer thread (await outcomes and emit one
-   response line per request, in request order). Threads are systhreads
-   — they spend their lives blocked on I/O or on pool condition
-   variables — while the actual work runs on the pool's worker domains,
-   so request execution is parallel even though connection plumbing is
-   not.
+   Thread layout: one accept thread watches the listeners (the
+   Unix-domain socket, plus loopback TCP with [tcp_port]); each
+   connection gets a reader thread (bounded line read, parse, admission,
+   handler submission) and a writer thread (await each reply in request
+   order, account it, write it). What an admitted request becomes is the
+   handler's business: [local] runs it on a domain pool, the sharded
+   front ({!Shard}) forwards it to a shard process and relays the raw
+   reply line. Threads are systhreads blocked on I/O or condition
+   variables; no request work runs on them.
 
-   Admission is a single counter under the server lock: a request is
-   admitted iff fewer than [queue_depth] admitted requests are still
-   unanswered, otherwise it is shed with a structured [overloaded]
-   response. The counter is released when the response for the request
-   is resolved (not when the job finishes), so the bound also caps the
-   per-connection response backlog.
+   Admission is one function under the server lock: a request is
+   admitted iff no drain has begun, fewer than [queue_depth] admitted
+   requests are unanswered, a low-priority request finds less than half
+   the depth in use, and its tenant holds fewer than [tenant_quota]
+   slots. The slot is released when the reply is accounted (not when
+   the work finishes), so the bound also caps every connection's
+   response backlog.
 
    Drain: [request_stop] sets a flag; the accept thread notices, closes
-   the listen socket, shuts down every connection's read side (blocked
-   readers see EOF), joins the connection threads — which first answer
-   everything already admitted — then shuts the pool down and flushes
-   the metrics side file. Queued-but-unstarted pool jobs are never
-   cancelled by a drain because writers await every ticket before their
-   reader/writer pair exits. *)
+   the listeners, shuts down every connection's read side (blocked
+   readers see EOF), joins the connection threads — writers answer
+   everything already admitted first — then stops the handler and
+   flushes the side files. The server lock [mm] is leaf-only: nothing
+   else is ever locked while it is held. *)
 
 type config = {
   socket_path : string;
-  jobs : int;
+  tcp_port : int option;
   queue_depth : int;
+  tenant_quota : int option;
   default_timeout_s : float option;
   metrics_path : string option;
   trace : Trace.t;
@@ -38,8 +40,9 @@ type config = {
 let default_config ~socket_path =
   {
     socket_path;
-    jobs = Pool.recommended_jobs ();
+    tcp_port = None;
     queue_depth = 64;
+    tenant_quota = None;
     default_timeout_s = None;
     metrics_path = None;
     trace = Trace.null;
@@ -52,6 +55,8 @@ type stats = {
   received : int;
   admitted : int;
   shed : int;
+  shed_quota : int;
+  shed_priority : int;
   bad : int;
   ok : int;
   failed : int;
@@ -64,54 +69,95 @@ type stats = {
 
 let answered s = s.ok + s.failed + s.deadline_exceeded + s.degraded + s.cancelled
 
-let zero_stats =
-  {
-    connections = 0;
-    received = 0;
-    admitted = 0;
-    shed = 0;
-    bad = 0;
-    ok = 0;
-    failed = 0;
-    deadline_exceeded = 0;
-    degraded = 0;
-    cancelled = 0;
-    pings = 0;
-    drained = 0;
-  }
+type reply = { line : string; outcome : string; timing : (float * float) option }
 
-type response =
-  | R_ok of Json.t
-  | R_error of string
-  | R_overloaded
-  | R_timeout
-  | R_degraded of string
-  | R_cancelled
-  | R_pong
+type t = {
+  cfg : config;
+  pfx : string;  (* counter and span namespace, from the handler *)
+  stop_requested : bool Atomic.t;
+  mm : Mutex.t;  (* guards metrics, trace, prof, inflight, tenants, draining, conns *)
+  metrics : Metrics.t;
+  tenants : (string, int) Hashtbl.t;  (* admitted-but-unanswered per tenant *)
+  mutable inflight : int;  (* admitted, reply not yet accounted *)
+  mutable draining : bool;
+  mutable conns : (Unix.file_descr * Thread.t * Thread.t) list;
+  mutable accept_thread : Thread.t option;
+}
 
-let response_json id resp =
-  Json.Obj
-    (("id", id)
-    ::
-    (match resp with
-    | R_ok payload -> [ ("status", Json.Str "ok"); ("report", payload) ]
-    | R_error e -> [ ("status", Json.Str "error"); ("error", Json.Str e) ]
-    | R_overloaded -> [ ("status", Json.Str "overloaded") ]
-    | R_timeout -> [ ("status", Json.Str "timeout") ]
-    | R_degraded e -> [ ("status", Json.Str "degraded"); ("error", Json.Str e) ]
-    | R_cancelled -> [ ("status", Json.Str "cancelled") ]
-    | R_pong -> [ ("status", Json.Str "pong") ]))
+and handler = { prefix : string; start : t -> (ops, string) result }
 
-(* one request the writer still owes a response line. Ticket jobs return
-   (start, stop, result) wall times so the writer can split the request's
-   latency into queue-wait (admission -> worker start) and run. *)
+and ops = {
+  submit : Json.t -> id:Json.t -> timeout_s:float option -> unit -> reply;
+  stop : unit -> unit;
+}
+
+(* monotonic: request latencies and queue-wait/run splits must survive a
+   wall-clock step without going negative *)
+let now () = Clock.now ()
+
+let name t s = t.pfx ^ "." ^ s
+
+(* a counter and its same-named trace Counter event; caller holds [mm] *)
+let count_locked t name =
+  Metrics.incr t.metrics name 1.0;
+  if Trace.enabled t.cfg.trace then Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 })
+
+let count t name = Mutex.protect t.mm (fun () -> count_locked t name)
+let counter t name = Mutex.protect t.mm (fun () -> int_of_float (Metrics.value t.metrics name))
+
+let prof_row t path ns =
+  if Prof.enabled t.cfg.prof then
+    Mutex.protect t.mm (fun () -> Prof.record_path t.cfg.prof path ~ns ())
+
+let status_line id status extra =
+  Json.to_string (Json.Obj (("id", id) :: ("status", Json.Str status) :: extra))
+
+(* ---- the local handler: run requests on a domain pool ---- *)
+
+let local ~jobs fn =
+  let start t =
+    let pool = Pool.create ~jobs:(max 1 jobs) () in
+    let submit j ~id ~timeout_s =
+      let tk =
+        Pool.submit pool ?timeout_s (fun () ->
+            let start = now () in
+            let r = fn j in
+            (start, now (), r))
+      in
+      fun () ->
+        let reply ?timing outcome status extra =
+          { line = status_line id status extra; outcome; timing }
+        in
+        match Pool.await tk with
+        | Ok (start, stop, Ok payload) ->
+          reply ~timing:(start, stop) "ok" "ok" [ ("report", payload) ]
+        | Ok (start, stop, Error e) ->
+          reply ~timing:(start, stop) "failed" "error" [ ("error", Json.Str e) ]
+        (* timed-out, cancelled and crashed runs have no reliable timing *)
+        | Error (Pool.Failed e) -> reply "failed" "error" [ ("error", Json.Str e) ]
+        | Error Pool.Timed_out -> reply "deadline_exceeded" "timeout" []
+        | Error (Pool.Degraded e) -> reply "degraded" "degraded" [ ("error", Json.Str e) ]
+        | Error Pool.Cancelled -> reply "cancelled" "cancelled" []
+    in
+    (* after the shutdown joins the workers their counters are exact and
+       this is the only domain touching the registries *)
+    let stop () =
+      Pool.shutdown pool;
+      Mutex.protect t.mm (fun () -> Pool.metrics_into pool t.metrics);
+      Pool.profile_into pool t.cfg.prof
+    in
+    Ok { submit; stop }
+  in
+  { prefix = "serve"; start }
+
+(* ---- connection: writer side ---- *)
+
 type entry = {
-  e_id : Json.t;  (* echoed request id (or the per-connection sequence) *)
-  e_t0 : float;  (* wall time the request line was read *)
+  e_id : Json.t;  (* echoed request id (or the connection's line sequence) *)
+  e_t0 : float;  (* when the request line was read *)
   e_admitted : bool;
-  e_outcome :
-    [ `Ticket of (float * float * (Json.t, string) result) Pool.ticket
-    | `Now of response ];
+  e_tenant : string option;  (* the tenant slot an admitted request holds *)
+  e_reply : unit -> reply;
 }
 
 type conn = {
@@ -120,38 +166,6 @@ type conn = {
   c_qcv : Condition.t;
   c_q : entry option Queue.t;  (* None = reader done, flush and close *)
 }
-
-type t = {
-  cfg : config;
-  handler : Json.t -> (Json.t, string) result;
-  pool : Pool.t;
-  lfd : Unix.file_descr;
-  stop : bool Atomic.t;
-  mm : Mutex.t;  (* guards st, inflight, conns, metrics, trace *)
-  metrics : Metrics.t;
-  mutable st : stats;
-  mutable inflight : int;  (* admitted, response not yet resolved *)
-  mutable draining : bool;
-  mutable conns : (Unix.file_descr * Thread.t * Thread.t) list;
-  mutable accept_thread : Thread.t option;
-  mutable final : stats option;  (* set once the drain completed *)
-}
-
-(* monotonic: request latencies and queue-wait/run splits must survive a
-   wall-clock step without going negative *)
-let now () = Clock.now ()
-
-(* Counter bump + same-named metrics counter + same-named trace Counter
-   event, all under [mm] so the systhreads never interleave inside the
-   (single-domain) registry or sink. *)
-let record t name up =
-  Mutex.protect t.mm (fun () ->
-      t.st <- up t.st;
-      Metrics.incr t.metrics name 1.0;
-      if Trace.enabled t.cfg.trace then
-        Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 }))
-
-(* ---- connection: writer side ---- *)
 
 let push conn v =
   Mutex.protect conn.c_qm (fun () ->
@@ -167,116 +181,113 @@ let pop conn =
   Mutex.unlock conn.c_qm;
   v
 
-(* Response plus, when the handler actually ran to completion, the
-   request's (queue_wait_us, run_us) split. Timeouts, cancellations and
-   crashed handlers have no reliable timing and yield [None]. *)
-let resolve_outcome entry =
-  match entry.e_outcome with
-  | `Now r -> (r, None)
-  | `Ticket tk -> (
-    match Pool.await tk with
-    | Ok (start, stop, r) ->
-      let timing =
-        Some ((start -. entry.e_t0) *. 1e6, (stop -. start) *. 1e6)
-      in
-      ((match r with Ok payload -> R_ok payload | Error e -> R_error e), timing)
-    | Error (Pool.Failed e) -> (R_error e, None)
-    | Error Pool.Timed_out -> (R_timeout, None)
-    | Error (Pool.Degraded e) -> (R_degraded e, None)
-    | Error Pool.Cancelled -> (R_cancelled, None))
-
-(* One lifecycle-stage span for [entry]: a [Request_span] trace event and
-   a [serve;request;<stage>] profiler row, both under [mm] (the prof
-   registry, like the trace sink, is unsynchronized — the server lock is
-   its synchronization). *)
-let request_span t entry stage us =
+(* One lifecycle-stage span: a [Request_span] trace event and a
+   [<prefix>;request;<stage>] profiler row, under [mm] (the prof registry,
+   like the trace sink, is unsynchronized). *)
+let request_span t id stage us =
   if Trace.enabled t.cfg.trace || Prof.enabled t.cfg.prof then
     Mutex.protect t.mm (fun () ->
         if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace
-            (Trace.Request_span
-               { request = Json.to_string entry.e_id; stage; us });
+          Trace.emit t.cfg.trace (Trace.Request_span { request = Json.to_string id; stage; us });
         if Prof.enabled t.cfg.prof then
-          Prof.record_path t.cfg.prof ("serve;request;" ^ stage)
-            ~ns:(us *. 1e3) ())
+          Prof.record_path t.cfg.prof (t.pfx ^ ";request;" ^ stage) ~ns:(us *. 1e3) ())
 
-(* Resolve-time accounting. Shed and malformed requests were already
-   counted when the reader answered them immediately, so only admitted
-   entries bump outcome counters (and the latency histogram) here. *)
-let account t entry resp timing =
-  (match timing with
+(* Shed and malformed requests were counted when the reader answered
+   them, so only admitted entries bump outcome counters here. *)
+let account t e r =
+  (match r.timing with
   | None -> ()
-  | Some (queue_wait_us, run_us) ->
-    request_span t entry "queue_wait" queue_wait_us;
-    request_span t entry "run" run_us);
-  let lat_us = (now () -. entry.e_t0) *. 1e6 in
+  | Some (start, stop) ->
+    request_span t e.e_id "queue_wait" ((start -. e.e_t0) *. 1e6);
+    request_span t e.e_id "run" ((stop -. start) *. 1e6));
+  let lat_us = (now () -. e.e_t0) *. 1e6 in
   Mutex.protect t.mm (fun () ->
-      if entry.e_admitted then begin
-        let name =
-          match resp with
-          | R_ok _ -> "serve.ok"
-          | R_error _ -> "serve.failed"
-          | R_timeout -> "serve.deadline_exceeded"
-          | R_degraded _ -> "serve.degraded"
-          | R_cancelled -> "serve.cancelled"
-          | R_overloaded | R_pong -> "serve.shed" (* unreachable for admitted *)
-        in
-        t.st <-
-          (match resp with
-          | R_ok _ -> { t.st with ok = t.st.ok + 1 }
-          | R_error _ -> { t.st with failed = t.st.failed + 1 }
-          | R_timeout ->
-            { t.st with deadline_exceeded = t.st.deadline_exceeded + 1 }
-          | R_degraded _ -> { t.st with degraded = t.st.degraded + 1 }
-          | R_cancelled -> { t.st with cancelled = t.st.cancelled + 1 }
-          | R_overloaded | R_pong -> t.st);
-        Metrics.incr t.metrics name 1.0;
-        Metrics.gauge_add t.metrics "serve.queue_depth" (-1.0);
-        Metrics.observe t.metrics "serve.latency_us" lat_us;
+      if e.e_admitted then begin
+        count_locked t (name t r.outcome);
+        Metrics.gauge_add t.metrics (name t "queue_depth") (-1.0);
+        Metrics.observe t.metrics (name t "latency_us") lat_us;
         t.inflight <- t.inflight - 1;
-        if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 })
+        Option.iter
+          (fun tn ->
+            match Hashtbl.find_opt t.tenants tn with
+            | Some n when n > 1 -> Hashtbl.replace t.tenants tn (n - 1)
+            | _ -> Hashtbl.remove t.tenants tn)
+          e.e_tenant
       end;
-      if t.draining then begin
-        t.st <- { t.st with drained = t.st.drained + 1 };
-        Metrics.incr t.metrics "serve.drained" 1.0
-      end)
+      if t.draining then count_locked t (name t "drained"))
 
 let writer t conn oc =
   let rec loop () =
     match pop conn with
     | None -> ()
-    | Some entry ->
-      let resp, timing = resolve_outcome entry in
-      account t entry resp timing;
+    | Some e ->
+      let r = e.e_reply () in
+      account t e r;
       (* a client that hung up must not stop us from awaiting (and
          accounting) the rest of its admitted requests *)
       let w0 = now () in
       (try
-         output_string oc (Json.to_string (response_json entry.e_id resp));
+         output_string oc r.line;
          output_char oc '\n';
          flush oc
        with Sys_error _ -> ());
-      (* write_back closes the admission->answer span triple; requests
-         without timing (timeout/cancel/crash) emit no spans at all, so
-         every stage has the same event count *)
-      if timing <> None then
-        request_span t entry "write_back" ((now () -. w0) *. 1e6);
+      (* write_back closes the span triple; replies without timing emit
+         no spans at all, so every stage has the same event count *)
+      if r.timing <> None then request_span t e.e_id "write_back" ((now () -. w0) *. 1e6);
       loop ()
   in
   loop ();
   (try flush oc with Sys_error _ -> ());
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ())
+  try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 (* ---- connection: reader side ---- *)
 
-let request_id parsed seq =
-  match parsed with
-  | Ok j -> (
-    match Json.member "id" j with
-    | Some (Json.Num _ as v) | Some (Json.Str _ as v) -> v
-    | _ -> Json.Num (float_of_int seq))
-  | Error _ -> Json.Num (float_of_int seq)
+let max_line_bytes = 1 lsl 20
+
+(* The next line, at most [max_line_bytes] long; the rest of an over-long
+   line is skipped up to its newline without being buffered. *)
+let read_line ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents b)
+    | c when Buffer.length b < max_line_bytes ->
+      Buffer.add_char b c;
+      go ()
+    | _ -> skip ()
+    | exception (End_of_file | Sys_error _) ->
+      if Buffer.length b = 0 then `Eof else `Line (Buffer.contents b)
+  and skip () =
+    match input_char ic with
+    | '\n' -> `Too_long
+    | _ -> skip ()
+    | exception (End_of_file | Sys_error _) -> `Too_long
+  in
+  go ()
+
+(* Queue depth, then the low-priority watermark (half the depth), then
+   the tenant quota; under [mm]. *)
+let admit t ~tenant ~low =
+  Mutex.protect t.mm (fun () ->
+      let held tn = Option.value ~default:0 (Hashtbl.find_opt t.tenants tn) in
+      let shed =
+        if t.draining || t.inflight >= t.cfg.queue_depth then Some "shed"
+        else if low && t.inflight >= t.cfg.queue_depth / 2 then Some "shed_priority"
+        else
+          match (t.cfg.tenant_quota, tenant) with
+          | Some q, Some tn when held tn >= q -> Some "shed_quota"
+          | _ -> None
+      in
+      match shed with
+      | Some s ->
+        count_locked t (name t s);
+        false
+      | None ->
+        t.inflight <- t.inflight + 1;
+        Option.iter (fun tn -> Hashtbl.replace t.tenants tn (held tn + 1)) tenant;
+        count_locked t (name t "admitted");
+        Metrics.gauge_add t.metrics (name t "queue_depth") 1.0;
+        true)
 
 let request_timeout t j =
   match Json.member "timeout_s" j with
@@ -286,226 +297,213 @@ let request_timeout t j =
     | Some f when f > 0.0 -> Ok (Some f)
     | _ -> Error "field timeout_s must be a positive number")
 
-let handle_line t conn seq line =
+(* [line] is [None] for an over-long line *)
+let handle_line t ops conn seq line =
   let t0 = now () in
-  let parsed = Json.parse (String.trim line) in
-  let id = request_id parsed seq in
-  let immediate resp admitted =
-    push conn (Some { e_id = id; e_t0 = t0; e_admitted = admitted; e_outcome = `Now resp })
+  let answer id status extra =
+    let r = { line = status_line id status extra; outcome = ""; timing = None } in
+    push conn
+      (Some { e_id = id; e_t0 = t0; e_admitted = false; e_tenant = None; e_reply = (fun () -> r) })
   in
-  record t "serve.received" (fun s -> { s with received = s.received + 1 });
-  match parsed with
-  | Error e ->
-    record t "serve.bad_requests" (fun s -> { s with bad = s.bad + 1 });
-    immediate (R_error ("parse error: " ^ e)) false
-  | Ok j when Json.member "ping" j <> None ->
-    (* liveness probe (the sharded front tier's heartbeat): answered
-       in-line, in order with real responses, without touching admission *)
-    record t "serve.pings" (fun s -> { s with pings = s.pings + 1 });
-    immediate R_pong false
-  | Ok j -> (
-    match request_timeout t j with
-    | Error e ->
-      record t "serve.bad_requests" (fun s -> { s with bad = s.bad + 1 });
-      immediate (R_error e) false
-    | Ok timeout_s -> (
-      let admitted =
-        Mutex.protect t.mm (fun () ->
-            if t.draining || t.inflight >= t.cfg.queue_depth then begin
-              t.st <- { t.st with shed = t.st.shed + 1 };
-              Metrics.incr t.metrics "serve.shed" 1.0;
-              if Trace.enabled t.cfg.trace then
-                Trace.emit t.cfg.trace
-                  (Trace.Counter { name = "serve.shed"; value = 1.0 });
-              false
-            end
-            else begin
-              t.inflight <- t.inflight + 1;
-              t.st <- { t.st with admitted = t.st.admitted + 1 };
-              Metrics.incr t.metrics "serve.admitted" 1.0;
-              Metrics.gauge_add t.metrics "serve.queue_depth" 1.0;
-              if Trace.enabled t.cfg.trace then
-                Trace.emit t.cfg.trace
-                  (Trace.Counter { name = "serve.admitted"; value = 1.0 });
-              true
-            end)
-      in
-      if not admitted then immediate R_overloaded false
-      else
-        let tk =
-          Pool.submit t.pool ?timeout_s (fun () ->
-              let start = now () in
-              let r = t.handler j in
-              (start, now (), r))
-        in
-        push conn
-          (Some { e_id = id; e_t0 = t0; e_admitted = true; e_outcome = `Ticket tk })))
+  let bad id msg =
+    count t (name t "bad_requests");
+    answer id "error" [ ("error", Json.Str msg) ]
+  in
+  let seq_id = Json.Num (float_of_int seq) in
+  count t (name t "received");
+  match Option.map (fun l -> Json.parse (String.trim l)) line with
+  | None -> bad seq_id (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
+  | Some (Error e) -> bad seq_id ("parse error: " ^ e)
+  | Some (Ok j) -> (
+    let id =
+      match Json.member "id" j with Some ((Json.Num _ | Json.Str _) as v) -> v | _ -> seq_id
+    in
+    if Json.member "ping" j <> None then begin
+      (* liveness probe (the front's shard heartbeat): answered in order
+         with real responses, without touching admission *)
+      count t (name t "pings");
+      answer id "pong" []
+    end
+    else
+      match request_timeout t j with
+      | Error e -> bad id e
+      | Ok timeout_s ->
+        let tenant = Option.bind (Json.member "tenant" j) Json.to_str in
+        let low = Option.bind (Json.member "priority" j) Json.to_str = Some "low" in
+        if admit t ~tenant ~low then
+          push conn
+            (Some
+               {
+                 e_id = id;
+                 e_t0 = t0;
+                 e_admitted = true;
+                 e_tenant = tenant;
+                 e_reply = ops.submit j ~id ~timeout_s;
+               })
+        else answer id "overloaded" [])
 
-let reader t conn ic =
-  let seq = ref 0 in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line ->
-      if String.trim line <> "" then begin
-        handle_line t conn !seq line;
-        incr seq
-      end;
-      loop ()
+let reader t ops conn ic =
+  let rec loop seq =
+    match read_line ic with
+    | `Eof -> ()
+    | `Too_long ->
+      handle_line t ops conn seq None;
+      loop (seq + 1)
+    | `Line l when String.trim l = "" -> loop seq
+    | `Line l ->
+      handle_line t ops conn seq (Some l);
+      loop (seq + 1)
   in
-  loop ();
+  loop 0;
   push conn None
 
-let spawn_conn t fd =
-  let conn =
-    {
-      c_fd = fd;
-      c_qm = Mutex.create ();
-      c_qcv = Condition.create ();
-      c_q = Queue.create ();
-    }
-  in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let wt = Thread.create (fun () -> writer t conn oc) () in
-  let rt = Thread.create (fun () -> reader t conn ic) () in
+let spawn_conn t ops fd =
+  let conn = { c_fd = fd; c_qm = Mutex.create (); c_qcv = Condition.create (); c_q = Queue.create () } in
+  let wt = Thread.create (fun () -> writer t conn (Unix.out_channel_of_descr fd)) () in
+  let rt = Thread.create (fun () -> reader t ops conn (Unix.in_channel_of_descr fd)) () in
   Mutex.protect t.mm (fun () ->
       t.conns <- (fd, rt, wt) :: t.conns;
-      t.st <- { t.st with connections = t.st.connections + 1 };
-      Metrics.incr t.metrics "serve.connections" 1.0;
-      if Trace.enabled t.cfg.trace then
-        Trace.emit t.cfg.trace
-          (Trace.Counter { name = "serve.connections"; value = 1.0 }))
+      count_locked t (name t "connections"))
 
 (* ---- accept loop & drain ---- *)
 
-let flush_side_file t =
-  match t.cfg.metrics_path with
-  | None -> ()
-  | Some path ->
-    Mutex.protect t.mm (fun () ->
-        let ps = Pool.stats t.pool in
-        Metrics.gauge_add t.metrics "pool.wall_s" ps.Pool.wall_s;
-        Array.iteri
-          (fun i (jobs_run, busy_s) ->
-            let labels = [ ("worker", string_of_int i) ] in
-            Metrics.incr t.metrics ~labels "pool.worker.jobs"
-              (float_of_int jobs_run);
-            Metrics.gauge_add t.metrics ~labels "pool.worker.busy_s" busy_s;
-            Metrics.gauge_add t.metrics ~labels "pool.worker.busy_frac"
-              (busy_s /. Float.max 1e-9 ps.Pool.wall_s))
-          ps.Pool.workers;
-        try Metrics.write_file t.metrics path with Sys_error _ -> ())
-
-(* Only after [Pool.shutdown]: the join makes the worker counters exact
-   and leaves this the sole domain touching the registry. *)
-let flush_prof_file t =
-  if Prof.enabled t.cfg.prof then begin
-    Pool.profile_into t.pool t.cfg.prof;
-    match t.cfg.prof_path with
-    | None -> ()
-    | Some path -> ( try Prof.write_file t.cfg.prof path with Sys_error _ -> ())
-  end
-
-let drain t =
+let drain t ops lfds =
   Mutex.protect t.mm (fun () -> t.draining <- true);
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) lfds;
   (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
   let conns = Mutex.protect t.mm (fun () -> t.conns) in
   (* blocked readers see EOF; writers then answer everything admitted *)
   List.iter
-    (fun (fd, _, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    (fun (fd, _, _) -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     conns;
   List.iter
     (fun (_, rt, wt) ->
       Thread.join rt;
       Thread.join wt)
     conns;
-  Pool.shutdown t.pool;
-  flush_side_file t;
-  flush_prof_file t;
-  Mutex.protect t.mm (fun () -> t.final <- Some t.st)
+  ops.stop ();
+  Option.iter
+    (fun path ->
+      Mutex.protect t.mm (fun () -> try Metrics.write_file t.metrics path with Sys_error _ -> ()))
+    t.cfg.metrics_path;
+  Option.iter
+    (fun path -> try Prof.write_file t.cfg.prof path with Sys_error _ -> ())
+    t.cfg.prof_path
 
-let accept_loop t =
-  let rec loop () =
-    if not (Atomic.get t.stop) then begin
-      (match Unix.select [ t.lfd ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.lfd with
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ -> spawn_conn t fd));
-      loop ()
-    end
-  in
-  loop ();
-  drain t
+let accept_loop t ops lfds =
+  while not (Atomic.get t.stop_requested) do
+    match Unix.select lfds [] [] 0.05 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | ready, _, _ ->
+      List.iter
+        (fun lfd ->
+          match Unix.accept ~cloexec:true lfd with
+          | exception Unix.Unix_error _ -> ()
+          | fd, _ -> spawn_conn t ops fd)
+        ready
+  done;
+  drain t ops lfds
 
 (* ---- lifecycle ---- *)
 
 let bindable path =
   match Unix.stat path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-  | { Unix.st_kind = Unix.S_SOCK; _ } ->
-    (* a previous server's stale socket: the bind below would fail with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+    (* a previous server's stale socket: the bind would fail with
        EADDRINUSE even though nobody is listening *)
-    (try
-       Unix.unlink path;
-       Ok ()
-     with Unix.Unix_error (e, _, _) ->
-       Error
-         (Printf.sprintf "serve: cannot unlink stale socket %s: %s" path
-            (Unix.error_message e)))
+    try Ok (Unix.unlink path)
+    with Unix.Unix_error (e, _, _) ->
+      Error
+        (Printf.sprintf "serve: cannot unlink stale socket %s: %s" path (Unix.error_message e)))
   | _ -> Error (Printf.sprintf "serve: %s exists and is not a socket" path)
 
-let start cfg ~handler =
-  let cfg = { cfg with jobs = max 1 cfg.jobs; queue_depth = max 1 cfg.queue_depth } in
+let listen cfg =
+  let bind domain addr what =
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+    match
+      if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd addr;
+      Unix.listen fd 64
+    with
+    | () -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error (Printf.sprintf "serve: cannot bind %s: %s" what (Unix.error_message e))
+  in
+  match bind Unix.PF_UNIX (Unix.ADDR_UNIX cfg.socket_path) cfg.socket_path with
+  | Error _ as e -> e
+  | Ok ufd -> (
+    match cfg.tcp_port with
+    | None -> Ok [ ufd ]
+    | Some port -> (
+      match
+        bind Unix.PF_INET
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+          (Printf.sprintf "tcp port %d" port)
+      with
+      | Ok tfd -> Ok [ ufd; tfd ]
+      | Error e ->
+        (try Unix.close ufd with Unix.Unix_error _ -> ());
+        (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+        Error e))
+
+let start cfg (h : handler) =
+  let cfg = { cfg with queue_depth = max 1 cfg.queue_depth } in
   match bindable cfg.socket_path with
   | Error e -> Error e
   | Ok () -> (
-    let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match
-      Unix.bind lfd (Unix.ADDR_UNIX cfg.socket_path);
-      Unix.listen lfd 64
-    with
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "serve: cannot bind %s: %s" cfg.socket_path
-           (Unix.error_message e))
-    | () ->
-      (* a client hanging up mid-response must not kill the process *)
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ -> ());
-      let t =
-        {
-          cfg;
-          handler;
-          pool = Pool.create ~jobs:cfg.jobs ();
-          lfd;
-          stop = Atomic.make false;
-          mm = Mutex.create ();
-          metrics = Metrics.create ();
-          st = zero_stats;
-          inflight = 0;
-          draining = false;
-          conns = [];
-          accept_thread = None;
-          final = None;
-        }
-      in
-      t.accept_thread <- Some (Thread.create accept_loop t);
-      Ok t)
+    (* a client hanging up mid-response must not kill the process *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+    let t =
+      {
+        cfg;
+        pfx = h.prefix;
+        stop_requested = Atomic.make false;
+        mm = Mutex.create ();
+        metrics = Metrics.create ();
+        tenants = Hashtbl.create 16;
+        inflight = 0;
+        draining = false;
+        conns = [];
+        accept_thread = None;
+      }
+    in
+    match h.start t with
+    | Error e -> Error e
+    | Ok ops -> (
+      match listen cfg with
+      | Error e ->
+        ops.stop ();
+        Error e
+      | Ok lfds ->
+        t.accept_thread <- Some (Thread.create (fun () -> accept_loop t ops lfds) ());
+        Ok t))
 
-let request_stop t = Atomic.set t.stop true
+let request_stop t = Atomic.set t.stop_requested true
+
+let stats t =
+  Mutex.protect t.mm (fun () ->
+      let v s = int_of_float (Metrics.value t.metrics (name t s)) in
+      {
+        connections = v "connections";
+        received = v "received";
+        admitted = v "admitted";
+        shed = v "shed";
+        shed_quota = v "shed_quota";
+        shed_priority = v "shed_priority";
+        bad = v "bad_requests";
+        ok = v "ok";
+        failed = v "failed";
+        deadline_exceeded = v "deadline_exceeded";
+        degraded = v "degraded";
+        cancelled = v "cancelled";
+        pings = v "pings";
+        drained = v "drained";
+      })
 
 let wait t =
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  match Mutex.protect t.mm (fun () -> t.final) with
-  | Some s -> s
-  | None -> Mutex.protect t.mm (fun () -> t.st)
+  Option.iter Thread.join t.accept_thread;
+  stats t
 
-let stats t = Mutex.protect t.mm (fun () -> t.st)
 let metrics t = t.metrics

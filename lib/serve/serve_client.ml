@@ -3,8 +3,9 @@
    The sender paces requests on a fixed schedule (request k of connection
    c is due at t0 + (c + k*C)/rps, i.e. the C connections interleave to a
    combined rps) and half-closes the socket when the duration elapses;
-   the receiver matches the k-th response line to the k-th send timestamp
-   — valid because the server answers in request order per connection. *)
+   the receiver matches the k-th response line to the k-th request's due
+   time — valid because the server answers in request order per
+   connection. *)
 
 type result = {
   sent : int;
@@ -64,7 +65,7 @@ let merge a b =
 (* monotonic: send-to-response latencies must survive a wall-clock step *)
 let now () = Clock.now ()
 
-(* growable float array: send timestamps, indexed by response order *)
+(* growable float array: due times, indexed by response order *)
 type dyn = { mutable a : float array; mutable n : int }
 
 let dyn_make hint = { a = Array.make (max 16 hint) 0.0; n = 0 }
@@ -134,7 +135,9 @@ let drive ~t0 ~rps ~duration_s ~conns ~c ~body ~collect fd =
         let dt = t0 +. due -. now () in
         if dt > 0.0 then Unix.sleepf dt;
         let i = c + (k * conns) in
-        dyn_add times (now ());
+        (* stamped when due, not when sent: a late sender's delay is part
+           of every latency it causes (no coordinated omission) *)
+        dyn_add times (t0 +. due);
         match
           output_string oc (body i);
           output_char oc '\n';

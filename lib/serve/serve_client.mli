@@ -5,7 +5,11 @@
     second (split evenly across connections) for [duration_s] seconds,
     then half-closes the send side and reads every response. Responses
     arrive in request order per connection, so the [k]-th response line
-    is matched to the [k]-th send timestamp for latency measurement.
+    is matched to the [k]-th request. A latency runs from the moment the
+    request was {e due} on the pacing schedule, not from when it was
+    actually sent: when the sender falls behind (a stall, a slow
+    [body]), the delay counts against every request it held back
+    instead of vanishing (no coordinated omission).
 
     Targets are ["unix:PATH"], ["tcp:HOST:PORT"], or a bare path
     (treated as a Unix-domain socket path) — the same syntax the
@@ -24,8 +28,8 @@ type result = {
   cancelled : int;
   unanswered : int;  (** sent but the connection closed before a response *)
   wall_s : float;  (** first send to last response *)
-  ok_latency_us : float list;  (** per-request latency of [ok] responses *)
-  all_latency_us : float list;  (** latency of every answered request *)
+  ok_latency_us : float list;  (** due-to-response latency of [ok] responses *)
+  all_latency_us : float list;  (** due-to-response latency of every answered request *)
   ok_reports : (string * string) list;
       (** when [collect_reports > 0]: up to that many
           [(request body, report)] exemplar pairs, one per {e distinct}

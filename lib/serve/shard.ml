@@ -1,23 +1,19 @@
-(* Sharded serving front tier.
+(* Sharded serving front: a {!Serve} handler that forwards each admitted
+   request to one of N shard processes and relays the raw reply line.
+   Each shard is a full local {!Serve} instance owning its own domain
+   pool and warm compile cache; the front owns no pool and never blocks
+   a worker on a shard. Routing is a consistent hash of the request's
+   compile-cache key — the canonical JSON of the spec minus envelope
+   fields (id, timeout_s, tenant, priority, ping) — so repeat
+   submissions of a program land on the shard whose cache already holds
+   its compiled binary.
 
-   The front load-balances client connections (Unix-domain socket,
-   optionally TCP) over N shard processes, each a full {!Serve} instance
-   owning its own domain pool and warm compile cache. Routing is a
-   consistent hash of the request's compile-cache key — the canonical
-   JSON of the spec minus envelope fields (id, timeout_s, tenant,
-   priority, ping) — so repeat submissions of a program land on the
-   shard whose cache already holds its compiled binary.
-
-   Thread layout mirrors Serve: accept thread(s) feed per-client-conn
-   reader/writer systhread pairs; additionally each shard slot has a
-   reader thread draining its response stream. A client reader admits a
-   request (front queue depth + per-tenant quota + priority watermark),
-   appends a cell to the client connection's in-order queue, and
-   dispatches the line to the routed shard; the shard reader resolves
-   cells with raw response lines in FIFO order — valid because a shard
-   answers in request order per connection — and the client writer
-   forwards the raw line verbatim, preserving byte-identity of shard
-   output end to end.
+   [submit] (on the client connection's reader thread) writes the
+   request to the routed shard and appends it to the slot's FIFO; the
+   slot's reader thread resolves each FIFO entry's cell with the next
+   raw response line — valid because a shard answers in request order
+   per connection — and the client writer forwards the line verbatim,
+   so served reports stay byte-identical to direct runs.
 
    Crash handling: a shard connection EOF (process death, or a heartbeat
    expiry forcing the fd shut) bumps the slot's generation, parks the
@@ -26,55 +22,16 @@
    structured error so no admitted request is ever silently lost) and
    respawns the shard backend with capped-jitter reconnect backoff.
 
-   Lock order (never nested in the other direction):
-   slot [s_m] -> client cell mutex; front [mm] is leaf-only. *)
+   Lock order (never nested in the other direction): slot [s_m] -> cell
+   mutex. The front lock [fm] and the server lock are leaf-only. *)
 
 type backend =
   | Proc of (int -> string -> string array)
   | Inproc of (Json.t -> (Json.t, string) result)
 
-type config = {
-  socket_path : string;
-  tcp_port : int option;
-  shards : int;
-  shard_socket : int -> string;
-  backend : backend;
-  queue_depth : int;
-  tenant_quota : int option;
-  low_watermark : float;
-  redispatch_max : int;
-  heartbeat_s : float option;
-  connect_timeout_s : float;
-  shard_jobs : int;
-  shard_queue_depth : int;
-  default_timeout_s : float option;
-  metrics_path : string option;
-  trace : Trace.t;
-  prof : Prof.t;
-  prof_path : string option;
-}
-
-let default_config ~socket_path ~shards ~backend =
-  {
-    socket_path;
-    tcp_port = None;
-    shards = max 1 shards;
-    shard_socket = (fun i -> Printf.sprintf "%s.shard%d" socket_path i);
-    backend;
-    queue_depth = 128;
-    tenant_quota = None;
-    low_watermark = 0.5;
-    redispatch_max = 2;
-    heartbeat_s = None;
-    connect_timeout_s = 10.0;
-    shard_jobs = 1;
-    shard_queue_depth = 64;
-    default_timeout_s = None;
-    metrics_path = None;
-    trace = Trace.null;
-    prof = Prof.null;
-    prof_path = None;
-  }
+(* budget for a (re)spawned shard to bind + accept, and for a parked
+   request to find a healthy shard *)
+let connect_timeout_s = 10.0
 
 type stats = {
   connections : int;
@@ -98,29 +55,6 @@ type stats = {
   drained : int;
 }
 
-let zero_stats =
-  {
-    connections = 0;
-    received = 0;
-    admitted = 0;
-    shed = 0;
-    shed_quota = 0;
-    shed_priority = 0;
-    bad = 0;
-    pings = 0;
-    answered = 0;
-    route_hot = 0;
-    route_cold = 0;
-    route_moved = 0;
-    redispatched = 0;
-    lost = 0;
-    crashes = 0;
-    respawns = 0;
-    hb_sent = 0;
-    hb_pong = 0;
-    drained = 0;
-  }
-
 let shed_total s = s.shed + s.shed_quota + s.shed_priority
 
 (* ---- response cells ---- *)
@@ -128,13 +62,7 @@ let shed_total s = s.shed + s.shed_quota + s.shed_priority
 (* one-shot rendezvous between the shard reader (producer of the raw
    response line) and the client writer (consumer); first resolution
    wins — a late duplicate from a double-dispatched request is dropped *)
-type cell = {
-  cm : Mutex.t;
-  ccv : Condition.t;
-  mutable resp : string option;
-}
-
-let new_cell () = { cm = Mutex.create (); ccv = Condition.create (); resp = None }
+type cell = { cm : Mutex.t; ccv : Condition.t; mutable resp : string option }
 
 let resolve cell line =
   Mutex.protect cell.cm (fun () ->
@@ -180,54 +108,23 @@ type slot = {
   mutable s_last_pong : float;
 }
 
-(* ---- client connections (front side) ---- *)
-
-type centry = {
-  ce_cell : cell;
-  ce_t0 : float;
-  ce_admitted : bool;
-  ce_tenant : string option;
-}
-
-type cconn = {
-  cc_fd : Unix.file_descr;
-  cc_m : Mutex.t;
-  cc_cv : Condition.t;
-  cc_q : centry option Queue.t;  (* None = reader done, flush and close *)
-}
-
 type t = {
-  cfg : config;
+  srv : Serve.t;
+  cfg : Serve.config;
+  backend : backend;
+  redispatch_max : int;
   slots : slot array;
   ring : (int64 * int) array;  (* (point, shard), sorted by unsigned point *)
-  stop : bool Atomic.t;  (* drain requested *)
   closing : bool Atomic.t;  (* shard teardown begun: suppress crash handling *)
-  mm : Mutex.t;  (* guards st, inflight, tenants, routes, metrics, trace, prof *)
-  metrics : Metrics.t;
-  mutable st : stats;
-  mutable inflight : int;
-  tenants : (string, int) Hashtbl.t;
+  fm : Mutex.t;  (* guards routes, aux *)
   routes : (string, int) Hashtbl.t;  (* key -> shard it last ran on *)
-  mutable draining : bool;
-  mutable conns : (Unix.file_descr * Thread.t * Thread.t) list;
   mutable aux : Thread.t list;  (* shard readers, respawners, heartbeat *)
-  mutable lfds : (Unix.file_descr * [ `Unix | `Tcp ]) list;
-  mutable driver : Thread.t option;
-  mutable final : stats option;
   hb_seq : int Atomic.t;
-  id_seq : int Atomic.t;
 }
 
 let now () = Clock.now ()
-
-let record t name up =
-  Mutex.protect t.mm (fun () ->
-      t.st <- up t.st;
-      Metrics.incr t.metrics name 1.0;
-      if Trace.enabled t.cfg.trace then
-        Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 }))
-
-let track t th = Mutex.protect t.mm (fun () -> t.aux <- th :: t.aux)
+let count t name = Serve.count t.srv name
+let track t th = Mutex.protect t.fm (fun () -> t.aux <- th :: t.aux)
 
 (* ---- consistent hash ring ---- *)
 
@@ -258,8 +155,7 @@ let route t ~key ~avoid =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.unsigned_compare (fst t.ring.(mid)) h < 0 then lo := mid + 1
-    else hi := mid
+    if Int64.unsigned_compare (fst t.ring.(mid)) h < 0 then lo := mid + 1 else hi := mid
   done;
   let start = !lo in
   let rec walk i seen =
@@ -267,8 +163,8 @@ let route t ~key ~avoid =
     else
       let _, s = t.ring.((start + i) mod n) in
       if List.mem s seen then walk (i + 1) seen
-      else if s <> avoid && Mutex.protect t.slots.(s).s_m (fun () -> t.slots.(s).s_alive)
-      then Some t.slots.(s)
+      else if s <> avoid && Mutex.protect t.slots.(s).s_m (fun () -> t.slots.(s).s_alive) then
+        Some t.slots.(s)
       else walk (i + 1) (s :: seen)
   in
   walk 0 []
@@ -278,23 +174,19 @@ let route t ~key ~avoid =
    The table is advisory routing telemetry, bounded to keep the front's
    memory flat over long soaks. *)
 let note_route t ~key shard =
-  Mutex.protect t.mm (fun () ->
-      if Hashtbl.length t.routes > 65536 then Hashtbl.reset t.routes;
-      let name =
-        match Hashtbl.find_opt t.routes key with
-        | Some s when s = shard -> "shard.route_hot"
-        | Some _ -> "shard.route_moved"
-        | None -> "shard.route_cold"
-      in
-      Hashtbl.replace t.routes key shard;
-      t.st <-
-        (match name with
-        | "shard.route_hot" -> { t.st with route_hot = t.st.route_hot + 1 }
-        | "shard.route_moved" -> { t.st with route_moved = t.st.route_moved + 1 }
-        | _ -> { t.st with route_cold = t.st.route_cold + 1 });
-      Metrics.incr t.metrics name 1.0;
-      if Trace.enabled t.cfg.trace then
-        Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 }))
+  let name =
+    Mutex.protect t.fm (fun () ->
+        if Hashtbl.length t.routes > 65536 then Hashtbl.reset t.routes;
+        let name =
+          match Hashtbl.find_opt t.routes key with
+          | Some s when s = shard -> "shard.route_hot"
+          | Some _ -> "shard.route_moved"
+          | None -> "shard.route_cold"
+        in
+        Hashtbl.replace t.routes key shard;
+        name)
+  in
+  count t name
 
 (* ---- dispatch ---- *)
 
@@ -319,10 +211,11 @@ let try_dispatch slot p =
            with Sys_error _ -> ());
           true)
 
-let fail_line p reason =
-  Json.to_string
-    (Json.Obj
-       [ ("id", p.p_id); ("status", Json.Str "error"); ("error", Json.Str reason) ])
+let lose t p cell reason =
+  count t "shard.lost";
+  resolve cell
+    (Json.to_string
+       (Json.Obj [ ("id", p.p_id); ("status", Json.Str "error"); ("error", Json.Str reason) ]))
 
 (* Bounded re-dispatch of a request parked on a dead shard. The request
    may execute twice (the dead shard could have finished it without
@@ -332,24 +225,19 @@ let redispatch t ~from p =
   match p.p_sink with
   | Heartbeat -> ()
   | Client cell ->
-    if p.p_dispatches > t.cfg.redispatch_max then begin
-      record t "shard.lost" (fun s -> { s with lost = s.lost + 1 });
-      resolve cell (fail_line p "shard failed; re-dispatch budget exhausted")
-    end
+    if p.p_dispatches > t.redispatch_max then
+      lose t p cell "shard failed; re-dispatch budget exhausted"
     else begin
-      record t "shard.redispatched" (fun s ->
-          { s with redispatched = s.redispatched + 1 });
+      count t "shard.redispatched";
       let p = { p with p_dispatches = p.p_dispatches + 1 } in
       (* brief bounded wait for a respawn when no sibling is healthy *)
-      let deadline = now () +. t.cfg.connect_timeout_s in
+      let deadline = now () +. connect_timeout_s in
       let rec go () =
         match route t ~key:p.p_key ~avoid:from with
         | Some slot when try_dispatch slot p -> note_route t ~key:p.p_key slot.s_idx
         | _ ->
-          if now () > deadline || Atomic.get t.closing then begin
-            record t "shard.lost" (fun s -> { s with lost = s.lost + 1 });
-            resolve cell (fail_line p "no healthy shard to re-dispatch to")
-          end
+          if now () > deadline || Atomic.get t.closing then
+            lose t p cell "no healthy shard to re-dispatch to"
           else begin
             Unix.sleepf 0.01;
             go ()
@@ -361,8 +249,8 @@ let redispatch t ~from p =
 (* ---- shard crash / respawn ---- *)
 
 let slot_socket t i ~gen =
-  let base = t.cfg.shard_socket i in
-  match t.cfg.backend with
+  let base = Printf.sprintf "%s.shard%d" t.cfg.Serve.socket_path i in
+  match t.backend with
   | Proc _ -> base (* the respawned child unlinks the stale socket itself *)
   | Inproc _ ->
     (* a gracefully-draining old Serve instance unlinks its own socket
@@ -370,7 +258,7 @@ let slot_socket t i ~gen =
     if gen = 0 then base else Printf.sprintf "%s.g%d" base gen
 
 let spawn_handle t i socket =
-  match t.cfg.backend with
+  match t.backend with
   | Proc argv_of ->
     let child = Proc.spawn (argv_of i socket) in
     {
@@ -378,16 +266,11 @@ let spawn_handle t i socket =
       h_kill = (fun () -> ignore (Proc.kill child));
       h_stop = (fun () -> ignore (Proc.terminate child));
     }
-  | Inproc handler -> (
+  | Inproc fn -> (
     let cfg =
-      {
-        (Serve.default_config ~socket_path:socket) with
-        jobs = t.cfg.shard_jobs;
-        queue_depth = t.cfg.shard_queue_depth;
-        default_timeout_s = t.cfg.default_timeout_s;
-      }
+      { (Serve.default_config ~socket_path:socket) with default_timeout_s = t.cfg.default_timeout_s }
     in
-    match Serve.start cfg ~handler with
+    match Serve.start cfg (Serve.local ~jobs:1 fn) with
     | Error e -> failwith e
     | Ok sv ->
       {
@@ -405,6 +288,8 @@ let spawn_handle t i socket =
             ignore (Serve.wait sv));
       })
 
+(* the shard's replies are trusted child output and reports can be
+   large, so this reader is not line-capped *)
 let rec shard_reader t slot gen ic =
   match input_line ic with
   | exception (End_of_file | Sys_error _) -> shard_down t slot ~gen
@@ -415,14 +300,11 @@ let rec shard_reader t slot gen ic =
     in
     (match p with
     | None -> () (* stale generation, or an unsolicited line: drop *)
-    | Some p -> (
-      match p.p_sink with
-      | Heartbeat ->
-        Mutex.protect slot.s_m (fun () -> slot.s_last_pong <- now ());
-        record t "shard.hb_pong" (fun s -> { s with hb_pong = s.hb_pong + 1 })
-      | Client cell -> resolve cell line));
-    if Mutex.protect slot.s_m (fun () -> slot.s_gen = gen) then
-      shard_reader t slot gen ic
+    | Some { p_sink = Heartbeat; _ } ->
+      Mutex.protect slot.s_m (fun () -> slot.s_last_pong <- now ());
+      count t "shard.hb_pong"
+    | Some { p_sink = Client cell; _ } -> resolve cell line);
+    if Mutex.protect slot.s_m (fun () -> slot.s_gen = gen) then shard_reader t slot gen ic
 
 and shard_down t slot ~gen =
   let victims =
@@ -431,9 +313,7 @@ and shard_down t slot ~gen =
         else begin
           slot.s_gen <- gen + 1;
           slot.s_alive <- false;
-          (match slot.s_fd with
-          | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ());
+          Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) slot.s_fd;
           slot.s_fd <- None;
           slot.s_oc <- None;
           let vs = List.of_seq (Queue.to_seq slot.s_fifo) in
@@ -442,26 +322,25 @@ and shard_down t slot ~gen =
         end)
   in
   if Atomic.get t.closing then
-    (* orderly teardown: writers have already drained every client cell;
+    (* orderly teardown: every client cell was answered before it began;
        anything left is a heartbeat, but answer defensively regardless *)
     List.iter
       (fun p ->
         match p.p_sink with
         | Heartbeat -> ()
-        | Client cell -> resolve cell (fail_line p "front tier shutting down"))
+        | Client cell -> lose t p cell "front tier shutting down")
       victims
   else begin
-    record t "shard.crashes" (fun s -> { s with crashes = s.crashes + 1 });
+    count t "shard.crashes";
     List.iter (redispatch t ~from:slot.s_idx) victims;
-    let th = Thread.create (fun () -> respawner t slot) () in
-    track t th
+    track t (Thread.create (fun () -> respawner t slot) ())
   end
 
 and respawner t slot =
   let rec attempts left =
     if (not (Atomic.get t.closing)) && left > 0 then
       match bringup t slot with
-      | Ok () -> record t "shard.respawns" (fun s -> { s with respawns = s.respawns + 1 })
+      | Ok () -> count t "shard.respawns"
       | Error e ->
         Printf.eprintf "shard %d: respawn failed: %s\n%!" slot.s_idx e;
         Unix.sleepf 0.2;
@@ -480,7 +359,7 @@ and bringup t slot =
   | exception e ->
     Error (Printf.sprintf "cannot spawn shard %d: %s" slot.s_idx (Printexc.to_string e))
   | handle -> (
-    let deadline = now () +. t.cfg.connect_timeout_s in
+    let deadline = now () +. connect_timeout_s in
     let rec conn attempt =
       if Atomic.get t.closing then Error "front tier shutting down"
       else begin
@@ -491,12 +370,11 @@ and bringup t slot =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           if now () > deadline then
             Error
-              (Printf.sprintf "shard %d (%s): connect timed out: %s" slot.s_idx
-                 socket (Unix.error_message e))
+              (Printf.sprintf "shard %d (%s): connect timed out: %s" slot.s_idx socket
+                 (Unix.error_message e))
           else begin
             Unix.sleepf
-              (Float.max 0.002
-                 (Pool.backoff_delay ~backoff_s:0.005 ~cap_s:0.25 ~attempt rng));
+              (Float.max 0.002 (Pool.backoff_delay ~backoff_s:0.005 ~cap_s:0.25 ~attempt rng));
             conn (attempt + 1)
           end
       end
@@ -507,23 +385,21 @@ and bringup t slot =
       Error e
     | Ok fd ->
       let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
       Mutex.protect slot.s_m (fun () ->
           slot.s_fd <- Some fd;
-          slot.s_oc <- Some oc;
+          slot.s_oc <- Some (Unix.out_channel_of_descr fd);
           slot.s_handle <- Some handle;
           slot.s_alive <- true;
           slot.s_last_pong <- now ());
-      let th = Thread.create (fun () -> shard_reader t slot gen ic) () in
-      track t th;
+      track t (Thread.create (fun () -> shard_reader t slot gen ic) ());
       Ok ())
 
 (* ---- heartbeats ---- *)
 
 let heartbeater t h =
-  while not (Atomic.get t.stop) do
+  while not (Atomic.get t.closing) do
     Unix.sleepf h;
-    if not (Atomic.get t.stop) then
+    if not (Atomic.get t.closing) then
       Array.iter
         (fun slot ->
           let action =
@@ -534,289 +410,56 @@ let heartbeater t h =
           in
           match action with
           | `Skip | `Expire None -> ()
-          | `Expire (Some fd) ->
+          | `Expire (Some fd) -> (
             (* missed-heartbeat detection: force the reader to EOF; the
                crash path then re-dispatches and respawns *)
-            (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
           | `Ping ->
             let id = Json.Str (Printf.sprintf "hb-%d" (Atomic.fetch_and_add t.hb_seq 1)) in
             let line = Json.to_string (Json.Obj [ ("ping", Json.Num 1.0); ("id", id) ]) in
-            let p =
-              { p_line = line; p_key = ""; p_id = id; p_sink = Heartbeat; p_dispatches = 1 }
-            in
-            if try_dispatch slot p then
-              record t "shard.hb_sent" (fun s -> { s with hb_sent = s.hb_sent + 1 }))
+            let p = { p_line = line; p_key = ""; p_id = id; p_sink = Heartbeat; p_dispatches = 1 } in
+            if try_dispatch slot p then count t "shard.hb_sent")
         t.slots
   done
 
-(* ---- client connections ---- *)
-
-let cpush cconn v =
-  Mutex.protect cconn.cc_m (fun () ->
-      Queue.push v cconn.cc_q;
-      Condition.signal cconn.cc_cv)
-
-let cpop cconn =
-  Mutex.lock cconn.cc_m;
-  while Queue.is_empty cconn.cc_q do
-    Condition.wait cconn.cc_cv cconn.cc_m
-  done;
-  let v = Queue.pop cconn.cc_q in
-  Mutex.unlock cconn.cc_m;
-  v
+(* ---- the handler ---- *)
 
 let envelope_fields = [ "id"; "timeout_s"; "tenant"; "priority"; "ping" ]
 
 let route_key j =
   match j with
   | Json.Obj kvs ->
-    Json.to_string
-      (Json.Obj (List.filter (fun (k, _) -> not (List.mem k envelope_fields)) kvs))
+    Json.to_string (Json.Obj (List.filter (fun (k, _) -> not (List.mem k envelope_fields)) kvs))
   | _ -> Json.to_string j
 
-let account t ce =
-  let lat_us = (now () -. ce.ce_t0) *. 1e6 in
-  Mutex.protect t.mm (fun () ->
-      if ce.ce_admitted then begin
-        t.st <- { t.st with answered = t.st.answered + 1 };
-        t.inflight <- t.inflight - 1;
-        (match ce.ce_tenant with
-        | None -> ()
-        | Some tn ->
-          let cur = Option.value ~default:1 (Hashtbl.find_opt t.tenants tn) in
-          if cur <= 1 then Hashtbl.remove t.tenants tn
-          else Hashtbl.replace t.tenants tn (cur - 1));
-        Metrics.incr t.metrics "shard.answered" 1.0;
-        Metrics.gauge_add t.metrics "shard.inflight" (-1.0);
-        Metrics.observe t.metrics "shard.latency_us" lat_us;
-        if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace
-            (Trace.Counter { name = "shard.answered"; value = 1.0 });
-        if Prof.enabled t.cfg.prof then
-          Prof.record_path t.cfg.prof "shard;request;proxy" ~ns:(lat_us *. 1e3) ()
-      end;
-      if t.draining then begin
-        t.st <- { t.st with drained = t.st.drained + 1 };
-        Metrics.incr t.metrics "shard.drained" 1.0;
-        if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace
-            (Trace.Counter { name = "shard.drained"; value = 1.0 })
-      end)
-
-let cwriter t cconn oc =
-  let rec loop () =
-    match cpop cconn with
-    | None -> ()
-    | Some ce ->
-      let line = await_cell ce.ce_cell in
-      account t ce;
-      (try
-         output_string oc line;
-         output_char oc '\n';
-         flush oc
-       with Sys_error _ -> ());
-      loop ()
-  in
-  loop ();
-  (try flush oc with Sys_error _ -> ());
-  (try Unix.close cconn.cc_fd with Unix.Unix_error _ -> ())
-
-(* admission verdict, under [mm] *)
-type verdict = Admit | Shed of string (* counter suffix *)
-
-let admit t ~tenant ~low =
-  Mutex.protect t.mm (fun () ->
-      let verdict =
-        if t.draining || t.inflight >= t.cfg.queue_depth then Shed "shard.shed"
-        else if
-          low
-          && t.inflight
-             >= int_of_float (t.cfg.low_watermark *. float_of_int t.cfg.queue_depth)
-        then Shed "shard.shed_priority"
-        else
-          match (t.cfg.tenant_quota, tenant) with
-          | Some q, Some tn
-            when Option.value ~default:0 (Hashtbl.find_opt t.tenants tn) >= q ->
-            Shed "shard.shed_quota"
-          | _ -> Admit
-      in
-      (match verdict with
-      | Admit ->
-        t.inflight <- t.inflight + 1;
-        (match tenant with
-        | None -> ()
-        | Some tn ->
-          Hashtbl.replace t.tenants tn
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.tenants tn)));
-        t.st <- { t.st with admitted = t.st.admitted + 1 };
-        Metrics.incr t.metrics "shard.admitted" 1.0;
-        Metrics.gauge_add t.metrics "shard.inflight" 1.0;
-        if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace
-            (Trace.Counter { name = "shard.admitted"; value = 1.0 })
-      | Shed name ->
-        t.st <-
-          (match name with
-          | "shard.shed_quota" -> { t.st with shed_quota = t.st.shed_quota + 1 }
-          | "shard.shed_priority" ->
-            { t.st with shed_priority = t.st.shed_priority + 1 }
-          | _ -> { t.st with shed = t.st.shed + 1 });
-        Metrics.incr t.metrics name 1.0;
-        if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 }));
-      verdict)
-
-let handle_line t cconn seq line =
+(* The shard applies the request's own timeout_s (or its default). *)
+let submit t j ~id ~timeout_s:_ =
   let t0 = now () in
-  record t "shard.received" (fun s -> { s with received = s.received + 1 });
-  let immediate ?(admitted = false) ?tenant resp_line =
-    let cell = new_cell () in
-    resolve cell resp_line;
-    cpush cconn
-      (Some { ce_cell = cell; ce_t0 = t0; ce_admitted = admitted; ce_tenant = tenant })
+  (* forward with the id pinned (shards must echo the client's id, not
+     their per-connection sequence); other fields pass through *)
+  let fwd =
+    match j with
+    | Json.Obj kvs -> Json.Obj (("id", id) :: List.filter (fun (k, _) -> k <> "id") kvs)
+    | other -> other
   in
-  let seq_id = Json.Num (float_of_int seq) in
-  let status_line id fields =
-    Json.to_string (Json.Obj (("id", id) :: fields))
+  let cell = { cm = Mutex.create (); ccv = Condition.create (); resp = None } in
+  let p =
+    { p_line = Json.to_string fwd; p_key = route_key j; p_id = id; p_sink = Client cell; p_dispatches = 1 }
   in
-  match Json.parse (String.trim line) with
-  | Error e ->
-    record t "shard.bad_requests" (fun s -> { s with bad = s.bad + 1 });
-    immediate
-      (status_line seq_id
-         [ ("status", Json.Str "error"); ("error", Json.Str ("parse error: " ^ e)) ])
-  | Ok j when Json.member "ping" j <> None ->
-    (* the front answers probes itself; shard heartbeats are separate *)
-    record t "shard.pings" (fun s -> { s with pings = s.pings + 1 });
-    let id =
-      match Json.member "id" j with
-      | Some (Json.Num _ as v) | Some (Json.Str _ as v) -> v
-      | _ -> seq_id
-    in
-    immediate (status_line id [ ("status", Json.Str "pong") ])
-  | Ok j -> (
-    let id =
-      match Json.member "id" j with
-      | Some (Json.Num _ as v) | Some (Json.Str _ as v) -> v
-      | _ -> Json.Num (float_of_int (Atomic.fetch_and_add t.id_seq 1))
-    in
-    let tenant = Option.bind (Json.member "tenant" j) Json.to_str in
-    let low =
-      match Option.bind (Json.member "priority" j) Json.to_str with
-      | Some "low" -> true
-      | _ -> false
-    in
-    match admit t ~tenant ~low with
-    | Shed _ -> immediate (status_line id [ ("status", Json.Str "overloaded") ])
-    | Admit ->
-      (* forward with the id pinned (shards must echo the front's id, not
-         their per-connection sequence); other fields pass through *)
-      let fwd =
-        match j with
-        | Json.Obj kvs ->
-          Json.Obj (("id", id) :: List.filter (fun (k, _) -> k <> "id") kvs)
-        | other -> other
-      in
-      let key = route_key j in
-      let cell = new_cell () in
-      let p =
-        {
-          p_line = Json.to_string fwd;
-          p_key = key;
-          p_id = id;
-          p_sink = Client cell;
-          p_dispatches = 1;
-        }
-      in
-      cpush cconn
-        (Some { ce_cell = cell; ce_t0 = t0; ce_admitted = true; ce_tenant = tenant });
-      (match route t ~key ~avoid:(-1) with
-      | Some slot when try_dispatch slot p -> note_route t ~key slot.s_idx
-      | _ ->
-        (* the routed shard died between the route and the write: reuse
-           the bounded re-dispatch path (counts as a re-dispatch) *)
-        redispatch t ~from:(-1) p))
+  (match route t ~key:p.p_key ~avoid:(-1) with
+  | Some slot when try_dispatch slot p -> note_route t ~key:p.p_key slot.s_idx
+  | _ ->
+    (* the routed shard died between the route and the write: reuse the
+       bounded re-dispatch path (counts as a re-dispatch) *)
+    redispatch t ~from:(-1) p);
+  fun () ->
+    let line = await_cell cell in
+    Serve.prof_row t.srv "shard;request;proxy" ((now () -. t0) *. 1e9);
+    { Serve.line; outcome = "answered"; timing = None }
 
-let creader t cconn ic =
-  let seq = ref 0 in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line ->
-      if String.trim line <> "" then begin
-        handle_line t cconn !seq line;
-        incr seq
-      end;
-      loop ()
-  in
-  loop ();
-  cpush cconn None
-
-let spawn_cconn t fd =
-  let cconn =
-    { cc_fd = fd; cc_m = Mutex.create (); cc_cv = Condition.create (); cc_q = Queue.create () }
-  in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let wt = Thread.create (fun () -> cwriter t cconn oc) () in
-  let rt = Thread.create (fun () -> creader t cconn ic) () in
-  Mutex.protect t.mm (fun () ->
-      t.conns <- (fd, rt, wt) :: t.conns;
-      t.st <- { t.st with connections = t.st.connections + 1 };
-      Metrics.incr t.metrics "shard.connections" 1.0;
-      if Trace.enabled t.cfg.trace then
-        Trace.emit t.cfg.trace
-          (Trace.Counter { name = "shard.connections"; value = 1.0 }))
-
-(* ---- accept, drain, lifecycle ---- *)
-
-let accept_loop t lfd =
-  let rec loop () =
-    if not (Atomic.get t.stop) then begin
-      (match Unix.select [ lfd ] [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true lfd with
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ -> spawn_cconn t fd));
-      loop ()
-    end
-  in
-  loop ()
-
-let flush_side_files t =
-  (match t.cfg.metrics_path with
-  | None -> ()
-  | Some path ->
-    Mutex.protect t.mm (fun () ->
-        try Metrics.write_file t.metrics path with Sys_error _ -> ()));
-  if Prof.enabled t.cfg.prof then
-    match t.cfg.prof_path with
-    | None -> ()
-    | Some path -> ( try Prof.write_file t.cfg.prof path with Sys_error _ -> ())
-
-let drain t =
-  Mutex.protect t.mm (fun () -> t.draining <- true);
-  List.iter
-    (fun (lfd, kind) ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      if kind = `Unix then
-        try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ())
-    t.lfds;
-  let conns = Mutex.protect t.mm (fun () -> t.conns) in
-  (* blocked client readers see EOF; writers then forward every response
-     for everything already admitted — shards stay up for exactly that *)
-  List.iter
-    (fun (fd, _, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  List.iter
-    (fun (_, rt, wt) ->
-      Thread.join rt;
-      Thread.join wt)
-    conns;
-  (* every admitted request is answered; now tear the shards down *)
+(* After every admitted request was answered (or on a failed start): the
+   shards stay up exactly that long. *)
+let stop t =
   Atomic.set t.closing true;
   Array.iter
     (fun slot ->
@@ -827,208 +470,120 @@ let drain t =
             slot.s_alive <- false;
             (h, slot.s_fd))
       in
-      (match handle with Some h -> h.h_stop () | None -> ());
-      match fd with
-      | Some fd -> (
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      | None -> ())
+      Option.iter (fun h -> h.h_stop ()) handle;
+      Option.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()) fd)
     t.slots;
-  let aux = Mutex.protect t.mm (fun () -> t.aux) in
-  List.iter Thread.join aux;
-  flush_side_files t;
-  Mutex.protect t.mm (fun () -> t.final <- Some t.st)
+  List.iter Thread.join (Mutex.protect t.fm (fun () -> t.aux))
 
-let request_stop t = Atomic.set t.stop true
+let start cfg ~shards ?(redispatch_max = 2) ?heartbeat_s backend =
+  let shards = max 1 shards in
+  let front = ref None in
+  let start srv =
+    let t =
+      {
+        srv;
+        cfg;
+        backend;
+        redispatch_max = max 0 redispatch_max;
+        slots =
+          Array.init shards (fun i ->
+              {
+                s_idx = i;
+                s_m = Mutex.create ();
+                s_alive = false;
+                s_gen = 0;
+                s_fd = None;
+                s_oc = None;
+                s_fifo = Queue.create ();
+                s_handle = None;
+                s_last_pong = 0.0;
+              });
+        ring = build_ring shards;
+        closing = Atomic.make false;
+        fm = Mutex.create ();
+        routes = Hashtbl.create 1024;
+        aux = [];
+        hb_seq = Atomic.make 0;
+      }
+    in
+    front := Some t;
+    (* bring every shard up before accepting any client *)
+    let rec bring i =
+      if i >= shards then Ok ()
+      else match bringup t t.slots.(i) with Ok () -> bring (i + 1) | Error _ as e -> e
+    in
+    match bring 0 with
+    | Error e ->
+      stop t;
+      Error e
+    | Ok () ->
+      (match heartbeat_s with
+      | Some h when h > 0.0 -> track t (Thread.create (fun () -> heartbeater t h) ())
+      | _ -> ());
+      Ok { Serve.submit = submit t; stop = (fun () -> stop t) }
+  in
+  Result.map (fun _ -> Option.get !front) (Serve.start cfg { Serve.prefix = "shard"; start })
+
+let request_stop t = Serve.request_stop t.srv
+let metrics t = Serve.metrics t.srv
+
+let stats t =
+  let v s = Serve.counter t.srv ("shard." ^ s) in
+  {
+    connections = v "connections";
+    received = v "received";
+    admitted = v "admitted";
+    shed = v "shed";
+    shed_quota = v "shed_quota";
+    shed_priority = v "shed_priority";
+    bad = v "bad_requests";
+    pings = v "pings";
+    answered = v "answered";
+    route_hot = v "route_hot";
+    route_cold = v "route_cold";
+    route_moved = v "route_moved";
+    redispatched = v "redispatched";
+    lost = v "lost";
+    crashes = v "crashes";
+    respawns = v "respawns";
+    hb_sent = v "hb_sent";
+    hb_pong = v "hb_pong";
+    drained = v "drained";
+  }
 
 let wait t =
-  (match t.driver with Some th -> Thread.join th | None -> ());
-  match Mutex.protect t.mm (fun () -> t.final) with
-  | Some s -> s
-  | None -> Mutex.protect t.mm (fun () -> t.st)
-
-let stats t = Mutex.protect t.mm (fun () -> t.st)
-let metrics t = t.metrics
+  ignore (Serve.wait t.srv);
+  stats t
 
 (* ---- test hooks ---- *)
 
+let slot t i what =
+  if i < 0 || i >= Array.length t.slots then invalid_arg what;
+  t.slots.(i)
+
 let kill_shard t i =
-  if i < 0 || i >= Array.length t.slots then invalid_arg "Shard.kill_shard";
-  let slot = t.slots.(i) in
+  let slot = slot t i "Shard.kill_shard" in
   let handle, fd =
     Mutex.protect slot.s_m (fun () ->
         let h = slot.s_handle in
         slot.s_handle <- None;
         (h, slot.s_fd))
   in
-  (match handle with Some h -> h.h_kill () | None -> ());
+  Option.iter (fun h -> h.h_kill ()) handle;
   (* sever the connection so the reader sees EOF even for an in-process
      backend whose graceful drain would otherwise still answer *)
-  match fd with
-  | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-  | None -> ()
+  Option.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()) fd
 
 let shard_pending t i =
-  if i < 0 || i >= Array.length t.slots then invalid_arg "Shard.shard_pending";
-  let slot = t.slots.(i) in
+  let slot = slot t i "Shard.shard_pending" in
   Mutex.protect slot.s_m (fun () -> Queue.length slot.s_fifo)
 
 let shard_alive t i =
-  if i < 0 || i >= Array.length t.slots then invalid_arg "Shard.shard_alive";
-  let slot = t.slots.(i) in
+  let slot = slot t i "Shard.shard_alive" in
   Mutex.protect slot.s_m (fun () -> slot.s_alive)
 
 let shard_pids t =
   Array.to_list
     (Array.map
-       (fun slot ->
-         Mutex.protect slot.s_m (fun () ->
-             Option.bind slot.s_handle (fun h -> h.h_pid)))
+       (fun slot -> Mutex.protect slot.s_m (fun () -> Option.bind slot.s_handle (fun h -> h.h_pid)))
        t.slots)
-
-(* ---- start ---- *)
-
-let listen_unix path =
-  match
-    match Unix.stat path with
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-    | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-      try
-        Unix.unlink path;
-        Ok ()
-      with Unix.Unix_error (e, _, _) ->
-        Error
-          (Printf.sprintf "shard: cannot unlink stale socket %s: %s" path
-             (Unix.error_message e)))
-    | _ -> Error (Printf.sprintf "shard: %s exists and is not a socket" path)
-  with
-  | Error _ as e -> e
-  | Ok () -> (
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64
-    with
-    | () -> Ok fd
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "shard: cannot bind %s: %s" path (Unix.error_message e)))
-
-let listen_tcp port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 64
-  with
-  | () -> Ok fd
-  | exception Unix.Unix_error (e, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error
-      (Printf.sprintf "shard: cannot bind tcp port %d: %s" port
-         (Unix.error_message e))
-
-let start cfg =
-  let cfg =
-    {
-      cfg with
-      shards = max 1 cfg.shards;
-      queue_depth = max 1 cfg.queue_depth;
-      redispatch_max = max 0 cfg.redispatch_max;
-      low_watermark = Float.min 1.0 (Float.max 0.0 cfg.low_watermark);
-    }
-  in
-  let t =
-    {
-      cfg;
-      slots =
-        Array.init cfg.shards (fun i ->
-            {
-              s_idx = i;
-              s_m = Mutex.create ();
-              s_alive = false;
-              s_gen = 0;
-              s_fd = None;
-              s_oc = None;
-              s_fifo = Queue.create ();
-              s_handle = None;
-              s_last_pong = 0.0;
-            });
-      ring = build_ring cfg.shards;
-      stop = Atomic.make false;
-      closing = Atomic.make false;
-      mm = Mutex.create ();
-      metrics = Metrics.create ();
-      st = zero_stats;
-      inflight = 0;
-      tenants = Hashtbl.create 16;
-      routes = Hashtbl.create 1024;
-      draining = false;
-      conns = [];
-      aux = [];
-      lfds = [];
-      driver = None;
-      final = None;
-      hb_seq = Atomic.make 0;
-      id_seq = Atomic.make 0;
-    }
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* bring every shard up before accepting any client *)
-  let rec bring i =
-    if i >= cfg.shards then Ok ()
-    else
-      match bringup t t.slots.(i) with
-      | Ok () -> bring (i + 1)
-      | Error e -> Error e
-  in
-  let teardown () =
-    Atomic.set t.closing true;
-    Array.iter
-      (fun slot ->
-        (match Mutex.protect slot.s_m (fun () -> slot.s_handle) with
-        | Some h -> h.h_stop ()
-        | None -> ());
-        match Mutex.protect slot.s_m (fun () -> slot.s_fd) with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ())
-      t.slots
-  in
-  match bring 0 with
-  | Error e ->
-    teardown ();
-    Error e
-  | Ok () -> (
-    let listeners =
-      match listen_unix cfg.socket_path with
-      | Error _ as e -> e
-      | Ok ufd -> (
-        match cfg.tcp_port with
-        | None -> Ok [ (ufd, `Unix) ]
-        | Some port -> (
-          match listen_tcp port with
-          | Ok tfd -> Ok [ (ufd, `Unix); (tfd, `Tcp) ]
-          | Error e ->
-            (try Unix.close ufd with Unix.Unix_error _ -> ());
-            Error e))
-    in
-    match listeners with
-    | Error e ->
-      teardown ();
-      Error e
-    | Ok lfds ->
-      t.lfds <- lfds;
-      (match cfg.heartbeat_s with
-      | Some h when h > 0.0 -> track t (Thread.create (fun () -> heartbeater t h) ())
-      | _ -> ());
-      let accepts =
-        List.map (fun (lfd, _) -> Thread.create (fun () -> accept_loop t lfd) ()) lfds
-      in
-      t.driver <-
-        Some
-          (Thread.create
-             (fun () ->
-               List.iter Thread.join accepts;
-               drain t)
-             ());
-      Ok t)

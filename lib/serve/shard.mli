@@ -1,9 +1,14 @@
 (** Sharded serving front tier ([infs_serve]).
 
-    A front load-balances client connections over [N] shard processes,
-    each a full {!Serve} instance with its own domain pool and warm
-    compile cache, and exposes the same JSON-lines protocol on a
-    Unix-domain socket and (optionally) a loopback TCP port.
+    The front is a {!Serve} server whose handler forwards each admitted
+    request to one of [N] shard processes — each a full local {!Serve}
+    instance with its own domain pool and warm compile cache — and
+    relays the raw reply line. The client protocol, the listeners
+    (Unix-domain socket, optionally loopback TCP), admission (queue
+    depth, per-tenant quota, low-priority watermark), pings, ids, the
+    line and nesting limits and the drain are {!Serve}'s, with counters
+    under the [shard.] prefix. The front owns no domain pool: a request
+    waits for its shard on the client connection's writer thread.
 
     {2 Cache-affine routing}
 
@@ -13,18 +18,7 @@
     with 64 virtual points per shard. Repeat submissions of the same
     program therefore land on the shard whose compile cache already
     holds its binary ([shard.route_hot]); a dead shard only moves its
-    own arc of the keyspace ([shard.route_moved]), the rest of the ring
-    is untouched.
-
-    {2 Admission}
-
-    On top of the per-shard queue-depth shedding, the front enforces its
-    own bound of [queue_depth] in-flight requests, a per-tenant quota
-    ([tenant_quota] concurrent requests per distinct ["tenant"] field),
-    and a priority class: requests carrying ["priority":"low"] are shed
-    once in-flight load crosses [low_watermark] of the queue depth,
-    keeping headroom for normal-priority traffic. All sheds answer the
-    structured [overloaded] response.
+    own arc of the keyspace ([shard.route_moved]).
 
     {2 Crash resilience}
 
@@ -32,34 +26,31 @@
     pong for 3 heartbeat periods forces the connection shut) parks the
     shard's in-flight requests and {e re-dispatches} each to a healthy
     shard, at most [redispatch_max] times per request — exhaustion (or
-    no healthy shard within [connect_timeout_s]) answers a structured
-    [error] response, so no admitted request is ever silently dropped.
-    The shard backend is respawned with capped full-jitter reconnect
-    backoff ({!Pool.backoff_delay}). A re-dispatched request may execute
-    twice; engine runs are pure, so the duplicate is wasted work, not a
+    no healthy shard within 10 s) answers a structured [error]
+    response, so no admitted request is ever silently dropped. The
+    shard backend is respawned with capped full-jitter reconnect backoff
+    ({!Pool.backoff_delay}). A re-dispatched request may execute twice;
+    engine runs are pure, so the duplicate is wasted work, not a
     correctness hazard.
 
     {2 Byte identity}
 
-    The front never reparses or reprints a shard response: responses are
-    matched to requests purely by per-shard-connection FIFO order (valid
-    because {!Serve} answers in request order per connection) and the
-    raw line is forwarded verbatim, so reports served through the front
-    are byte-identical to reports from a direct {!Serve} run.
+    The front forwards each request with its id pinned (the shard echoes
+    the client's id) and never reparses or reprints a shard response:
+    responses are matched to requests by per-shard-connection FIFO order
+    (valid because {!Serve} answers in request order per connection) and
+    the raw line is forwarded verbatim, so reports served through the
+    front are byte-identical to a direct {!Serve} run.
 
     {2 Observability}
 
-    Counters mirror the {!Serve} pattern — [shard.received],
-    [shard.admitted], [shard.shed], [shard.shed_quota],
-    [shard.shed_priority], [shard.bad_requests], [shard.pings],
-    [shard.answered], [shard.route_hot], [shard.route_cold],
-    [shard.route_moved], [shard.redispatched], [shard.lost],
-    [shard.crashes], [shard.respawns], [shard.hb_sent], [shard.hb_pong],
-    [shard.drained], [shard.connections], the [shard.inflight] gauge and
-    the [shard.latency_us] histogram — each also emitted as a
-    same-named {!Trace} [Counter] event, so a live trace replays into
-    identical counters, and each answered request records a
-    [shard;request;proxy] {!Prof} row. *)
+    Besides the loop's [shard.*] counters ({!Serve}; answered requests
+    bump [shard.answered]), the front counts [shard.route_hot],
+    [shard.route_cold], [shard.route_moved], [shard.redispatched],
+    [shard.lost], [shard.crashes], [shard.respawns], [shard.hb_sent] and
+    [shard.hb_pong] — each also a same-named {!Trace} [Counter] event —
+    and records a [shard;request;proxy] {!Prof} row per answered
+    request. *)
 
 type backend =
   | Proc of (int -> string -> string array)
@@ -69,44 +60,9 @@ type backend =
           same closure. The child must serve the JSON-lines protocol on
           [socket_path] (i.e. [infs_run serve --socket socket_path]). *)
   | Inproc of (Json.t -> (Json.t, string) result)
-      (** each shard is an in-process {!Serve} instance over this
-          handler — the unit-test backend (no child processes). *)
-
-type config = {
-  socket_path : string;  (** front Unix-domain socket *)
-  tcp_port : int option;  (** also listen on loopback TCP *)
-  shards : int;  (** shard count (clamped to >= 1) *)
-  shard_socket : int -> string;
-      (** per-shard Unix-socket path (default [socket_path ^ ".shard<i>"]) *)
-  backend : backend;
-  queue_depth : int;  (** front-level in-flight admission bound *)
-  tenant_quota : int option;
-      (** max concurrent in-flight requests per distinct ["tenant"]
-          field; [None] = unlimited *)
-  low_watermark : float;
-      (** fraction of [queue_depth] above which ["priority":"low"]
-          requests are shed (clamped to [0..1], default 0.5) *)
-  redispatch_max : int;  (** re-dispatch budget per request *)
-  heartbeat_s : float option;
-      (** ping period per shard; a shard missing pongs for 3 periods is
-          declared dead. [None] disables heartbeats (EOF detection still
-          catches hard crashes). *)
-  connect_timeout_s : float;
-      (** budget for a (re)spawned shard to bind + accept, and for a
-          parked request to find a healthy shard *)
-  shard_jobs : int;  (** [Inproc] only: worker domains per shard *)
-  shard_queue_depth : int;  (** [Inproc] only: per-shard admission bound *)
-  default_timeout_s : float option;  (** [Inproc] only: per-request deadline *)
-  metrics_path : string option;  (** drain-time metrics snapshot side file *)
-  trace : Trace.t;  (** counter-event sink (closed by the caller) *)
-  prof : Prof.t;
-  prof_path : string option;
-}
-
-val default_config : socket_path:string -> shards:int -> backend:backend -> config
-(** [queue_depth = 128], no TCP, no tenant quota, [low_watermark = 0.5],
-    [redispatch_max = 2], no heartbeat, [connect_timeout_s = 10.0], one
-    job and queue depth 64 per in-process shard, no side files. *)
+      (** each shard is an in-process {!Serve} instance running this
+          function on a one-domain {!Serve.local} pool, with the front's
+          default deadline — the unit-test backend (no child processes). *)
 
 type stats = {
   connections : int;  (** client connections accepted (UDS + TCP) *)
@@ -115,7 +71,7 @@ type stats = {
   shed : int;  (** queue-depth (or drain) sheds *)
   shed_quota : int;  (** tenant-quota sheds *)
   shed_priority : int;  (** low-priority watermark sheds *)
-  bad : int;  (** malformed request lines *)
+  bad : int;  (** over-long, malformed or bad-[timeout_s] lines *)
   pings : int;  (** probes answered by the front itself *)
   answered : int;  (** shard responses forwarded to clients *)
   route_hot : int;  (** routed to the shard that ran the key last *)
@@ -137,16 +93,25 @@ val shed_total : stats -> int
 
 type t
 
-val start : config -> (t, string) result
-(** Bring every shard up (spawn + connect; an unreachable shard fails
-    the start and tears the rest down), bind the front listeners, start
-    the heartbeat. [SIGPIPE] is ignored process-wide. *)
+val start :
+  Serve.config ->
+  shards:int ->
+  ?redispatch_max:int ->
+  ?heartbeat_s:float ->
+  backend ->
+  (t, string) result
+(** Start a front with [shards] shards (clamped to >= 1) on [config]'s
+    listeners. Shard [i] serves on [config.socket_path ^ ".shard<i>"].
+    Every shard is brought up (spawn + connect) before the listeners
+    bind; an unreachable shard fails the start and tears the rest down.
+    [redispatch_max] (default 2) is the re-dispatch budget per request;
+    [heartbeat_s] pings each shard that often ([None]: no heartbeats —
+    EOF detection still catches hard crashes). *)
 
 val request_stop : t -> unit
-(** Begin a graceful drain. Only sets a flag — signal-handler safe,
-    idempotent. The drain answers everything already admitted (the
-    shards stay up exactly that long), then stops the shard backends
-    gracefully and flushes the side files. *)
+(** Begin a graceful drain ({!Serve.request_stop}). The drain answers
+    everything already admitted (the shards stay up exactly that long),
+    then stops the shard backends gracefully and flushes the side files. *)
 
 val wait : t -> stats
 (** Join the drain and return the final statistics. [answered = admitted]
@@ -154,7 +119,7 @@ val wait : t -> stats
     counts the subset answered via the front-generated error path). *)
 
 val stats : t -> stats
-(** Live snapshot (exact: reads under the front lock). *)
+(** Live snapshot (each counter read under the server lock). *)
 
 val metrics : t -> Metrics.t
 

@@ -303,13 +303,6 @@ let apply r (base : E.options) =
 
 (* ---- deterministic JSON ---- *)
 
-let paradigm_of_string s =
-  match
-    List.find_opt (fun p -> E.paradigm_to_string p = s) E.all_paradigms
-  with
-  | Some p -> Ok p
-  | None -> Error (Printf.sprintf "unknown paradigm %s" s)
-
 let config_to_json c =
   Json.Obj
     [
@@ -358,7 +351,7 @@ let req name conv j =
 
 let config_of_json j =
   let* pname = req "paradigm" Json.to_str j in
-  let* paradigm = paradigm_of_string pname in
+  let* paradigm = E.paradigm_of_string pname in
   let* tile =
     match Json.member "tile" j with
     | Some Json.Null | None -> Ok None

@@ -69,6 +69,10 @@ let to_string v =
 
 exception Bad of int * string
 
+(* far above anything this repository writes (~6 levels), far below the
+   nesting at which one parse of an untrusted line exhausts memory *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -166,7 +170,7 @@ let parse s =
     | Some f -> f
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -174,6 +178,8 @@ let parse s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
+    | Some ('[' | '{') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '[' ->
       incr pos;
       skip_ws ();
@@ -183,7 +189,7 @@ let parse s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -209,7 +215,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -229,7 +235,7 @@ let parse s =
     | Some _ -> Num (parse_number ())
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

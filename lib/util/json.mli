@@ -18,7 +18,10 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON document. Trailing whitespace is allowed; anything else
-    after the value is an error. Errors carry a character offset. *)
+    after the value is an error. Errors carry a character offset. Arrays
+    and objects nested deeper than 512 levels are an error
+    (["json: nesting deeper than 512 at offset N"]), so an untrusted line
+    cannot make the parser recurse without bound. *)
 
 val to_string : t -> string
 

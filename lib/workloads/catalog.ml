@@ -82,3 +82,26 @@ let all_variants entries =
           ((if v = "" then e.label else e.label ^ "/" ^ v), w))
         e.variants)
     entries
+
+type scale = [ `Paper | `Test ]
+
+let by_name (scale : scale) =
+  let entries = match scale with `Paper -> table3 () | `Test -> test_scale () in
+  let n = match scale with `Paper -> 4_194_304 | `Test -> 16_384 in
+  all_variants entries
+  @ [
+      ("vec_add", Micro.vec_add ~n);
+      ("array_sum", Micro.array_sum ~n);
+      ("pointnet/ssg", match scale with `Paper -> Pointnet.ssg () | `Test -> Pointnet.tiny ());
+      ("pointnet/msg", match scale with `Paper -> Pointnet.msg () | `Test -> Pointnet.tiny ());
+    ]
+
+let names scale = List.sort String.compare (List.map fst (by_name scale))
+
+let find scale name =
+  match List.assoc_opt name (by_name scale) with
+  | Some w -> Ok w
+  | None ->
+    Error
+      (Printf.sprintf "unknown workload %s; available: %s" name
+         (String.concat ", " (names scale)))

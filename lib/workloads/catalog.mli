@@ -18,3 +18,17 @@ val test_scale : unit -> entry list
 
 val all_variants : entry list -> (string * Infinity_stream.Workload.t) list
 (** Flattened [(label/variant, workload)] pairs. *)
+
+type scale = [ `Paper | `Test ]
+
+val by_name : scale -> (string * Infinity_stream.Workload.t) list
+(** Every workload a request or the command line can name:
+    {!all_variants} of {!table3} (or {!test_scale}) plus [vec_add],
+    [array_sum], [pointnet/ssg] and [pointnet/msg]. Built fresh on each
+    call, so callers never share a workload's lazy inputs. *)
+
+val names : scale -> string list
+(** The names of {!by_name}, sorted. *)
+
+val find : scale -> string -> (Infinity_stream.Workload.t, string) result
+(** A fresh workload by name; the error lists {!names}. *)

@@ -35,6 +35,7 @@ let () =
          ("metrics", Test_metrics.suite);
          ("serve", Test_serve.suite);
          ("shard", Test_shard.suite);
+         ("spec", Test_spec.suite);
          ("prof", Test_prof.suite);
          ("tune", Test_tune.suite);
        ])

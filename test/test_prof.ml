@@ -222,11 +222,11 @@ let test_serve_request_spans () =
   let trace = Trace.to_buffer Trace.Jsonl buf in
   let prof = Prof.create () in
   let cfg =
-    { (Serve.default_config ~socket_path:path) with Serve.jobs = 2; trace; prof }
+    { (Serve.default_config ~socket_path:path) with Serve.trace; prof }
   in
   let sent = 5 in
   let st =
-    match Serve.start cfg ~handler:(fun j -> Ok j) with
+    match Serve.start cfg (Serve.local ~jobs:2 (fun j -> Ok j)) with
     | Error e -> Alcotest.fail e
     | Ok t ->
       Fun.protect
@@ -436,6 +436,35 @@ let test_bisect_disjoint_keys_ignored () =
   Alcotest.(check int) "nothing moved" 0 moved;
   Alcotest.(check int) "no groups" 0 (List.length groups)
 
+(* ---- side files keep the requested format behind a shard suffix ---- *)
+
+let test_side_file_format () =
+  let dir = Filename.get_temp_dir_name () in
+  let file name = Filename.concat dir (Printf.sprintf "infs-side-%d-%s" (Unix.getpid ()) name) in
+  let read f =
+    let ic = open_in f in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove f;
+    s
+  in
+  let prof = Prof.create () in
+  Prof.record_path prof "serve;request;write_back" ~ns:1e3 ();
+  let pf = file "x.prof.json.shard0" in
+  Prof.write_file prof pf;
+  (match Json.parse (read pf) with
+  | Ok j ->
+    Alcotest.(check (option string)) "a .json.shard0 profile is JSON" (Some "infs-prof-1")
+      (Option.bind (Json.member "schema" j) Json.to_str)
+  | Error e -> Alcotest.failf "shard profile is not JSON: %s" e);
+  let m = Metrics.create () in
+  Metrics.incr m "serve.ok" 1.0;
+  let mf = file "x.metrics.prom.shard1" in
+  Metrics.write_file m mf;
+  Alcotest.(check bool) "a .prom.shard1 snapshot is Prometheus text" true
+    (Result.is_error (Json.parse (read mf)));
+  Alcotest.(check bool) "a bare .shard0 suffix is no format" false (Side_file.has_ext "x.shard0" ".json")
+
 let suite =
   [
     ("null registry is inert", `Quick, test_null_registry);
@@ -445,6 +474,7 @@ let suite =
     ("folded-stack rendering", `Quick, test_folded_format);
     ("golden profile: stencil1d @ Inf-S", `Quick, test_golden_report);
     ("serve request spans reconcile", `Quick, test_serve_request_spans);
+    ("side files keep the format behind .shard<i>", `Quick, test_side_file_format);
     ("trend: golden page from fixtures", `Quick, test_trend_golden_page);
     ("trend: missing cells and flat series", `Quick, test_trend_missing_cells);
     ("bisect: sub-threshold jitter is quiet", `Quick, test_bisect_no_regression);

@@ -8,9 +8,6 @@
    - a qcheck property: engine reports served over the socket are
      byte-identical to direct in-process runs of the same specs. *)
 
-module E = Infinity_stream.Engine
-module R = Infinity_stream.Report
-
 let sock_counter = ref 0
 
 let sock_path tag =
@@ -25,14 +22,9 @@ let with_server ?(jobs = 2) ?(queue_depth = 64) ?default_timeout_s ~tag ~handler
     f =
   let path = sock_path tag in
   let cfg =
-    {
-      (Serve.default_config ~socket_path:path) with
-      jobs;
-      queue_depth;
-      default_timeout_s;
-    }
+    { (Serve.default_config ~socket_path:path) with queue_depth; default_timeout_s }
   in
-  match Serve.start cfg ~handler with
+  match Serve.start cfg (Serve.local ~jobs handler) with
   | Error e -> Alcotest.fail e
   | Ok t ->
     let final = ref (Serve.stats t) in
@@ -200,37 +192,14 @@ let test_drain_answers_admitted () =
 
 (* ---- byte-identity: served reports = direct runs ---- *)
 
-let test_workloads =
-  [
-    ("vec_add", fun () -> Infs_workloads.Micro.vec_add ~n:4096);
-    ("array_sum", fun () -> Infs_workloads.Micro.array_sum ~n:4096);
-    ( "attention",
-      fun () -> Infs_workloads.Transformer.attention ~batch:2 ~seq:8 ~dh:4 () );
-  ]
-
-let test_paradigms = [ ("base", E.Base); ("near-l3", E.Near_l3); ("inf-s", E.Inf_s) ]
-
-(* mirrors the CLI handler: resolve the workload fresh per request (no
-   shared mutable workload state across domains), shared compile cache *)
-let engine_handler j =
-  match
-    ( Option.bind (Json.member "workload" j) Json.to_str,
-      Option.bind (Json.member "paradigm" j) Json.to_str )
-  with
-  | Some w, Some p -> (
-    match (List.assoc_opt w test_workloads, List.assoc_opt p test_paradigms) with
-    | Some mk, Some paradigm -> (
-      let options = { E.default_options with share_compile = true } in
-      match E.run ~options paradigm (mk ()) with
-      | Ok r -> Ok (R.to_json r)
-      | Error e -> Error e)
-    | _ -> Error "unknown workload or paradigm")
-  | _ -> Error "spec needs workload and paradigm"
+let test_workloads = [ "vec_add"; "array_sum"; "attention" ]
+let test_paradigms = [ "base"; "near-l3"; "inf-s" ]
+let engine_handler = Infs_workloads.Spec.handler `Test ~faults:Fault.none
 
 let spec_line id (wi, pi) =
   Printf.sprintf {|{"id": %d, "workload": %S, "paradigm": %S}|} id
-    (fst (List.nth test_workloads (wi mod List.length test_workloads)))
-    (fst (List.nth test_paradigms (pi mod List.length test_paradigms)))
+    (List.nth test_workloads (wi mod List.length test_workloads))
+    (List.nth test_paradigms (pi mod List.length test_paradigms))
 
 let prop_served_equals_direct =
   QCheck.Test.make ~count:8 ~name:"serve: reports byte-identical to direct runs"
@@ -289,6 +258,93 @@ let prop_served_equals_direct =
         picks;
       true)
 
+(* ---- request lines: ids and bounds (also run through the front) ---- *)
+
+let echo j = Ok j
+
+let id_num j =
+  match Option.bind (Json.member "id" j) Json.to_num with
+  | Some n -> int_of_float n
+  | None -> Alcotest.fail "response without numeric id"
+
+(* an id-less request is answered with its connection's line sequence *)
+let check_id_rule path =
+  let conns = List.init 2 (fun _ -> connect path) in
+  List.iter (fun (_, _, oc) -> for i = 0 to 2 do send oc (Printf.sprintf {|{"x": %d}|} i) done) conns;
+  List.iteri
+    (fun c (fd, ic, _) ->
+      let ids = List.init 3 (fun _ -> id_num (response (input_line ic))) in
+      Alcotest.(check (list int)) (Printf.sprintf "connection %d ids" c) [ 0; 1; 2 ] ids;
+      Unix.close fd)
+    conns
+
+let error_of j =
+  match Option.bind (Json.member "error" j) Json.to_str with
+  | Some e -> e
+  | None -> Alcotest.fail "error response without error field"
+
+let starts_with prefix s = String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+(* a line over 1 MiB is refused without being buffered; one at the cap
+   is served; the connection survives both *)
+let check_line_cap path =
+  let fd, ic, oc = connect path in
+  send oc (String.make ((1 lsl 20) + 1) 'x');
+  let r = response (input_line ic) in
+  Alcotest.(check string) "over-long line is an error" "error" (status r);
+  Alcotest.(check string) "error names the cap" "request line exceeds 1048576 bytes" (error_of r);
+  Alcotest.(check int) "id is the line sequence" 0 (id_num r);
+  let head = {|{"id": 1, "pad": "|} in
+  send oc (head ^ String.make ((1 lsl 20) - String.length head - 2) 'y' ^ {|"}|});
+  let r = response (input_line ic) in
+  Alcotest.(check string) "a line at the cap is served" "ok" (status r);
+  Alcotest.(check int) "its id is echoed" 1 (id_num r);
+  send oc {|{"id": 7, "x": 1}|};
+  Alcotest.(check string) "connection survives" "ok" (status (response (input_line ic)));
+  Unix.close fd
+
+let check_deep_line path =
+  let fd, ic, oc = connect path in
+  send oc (String.make 600 '[' ^ String.make 600 ']');
+  let r = response (input_line ic) in
+  Alcotest.(check string) "deep nesting is an error" "error" (status r);
+  Alcotest.(check bool) "error names the depth cap" true
+    (starts_with "parse error: json: nesting deeper than 512 at offset" (error_of r));
+  send oc {|{"id": 7, "x": 1}|};
+  Alcotest.(check string) "connection survives" "ok" (status (response (input_line ic)));
+  Unix.close fd
+
+let test_id_rule () =
+  let (), st, _ = with_server ~tag:"ids" ~handler:echo (fun _t path -> check_id_rule path) in
+  Alcotest.(check int) "all six served" 6 st.Serve.ok
+
+let test_line_cap () =
+  let (), st, _ = with_server ~tag:"cap" ~handler:echo (fun _t path -> check_line_cap path) in
+  Alcotest.(check int) "the over-long line is one bad request" 1 st.Serve.bad
+
+let test_deep_line () =
+  let (), st, _ = with_server ~tag:"deep" ~handler:echo (fun _t path -> check_deep_line path) in
+  Alcotest.(check int) "the deep line is one bad request" 1 st.Serve.bad
+
+(* ---- load generator: latency from the due time ---- *)
+
+let test_client_counts_sender_lateness () =
+  let r, _, _ =
+    with_server ~tag:"co" ~handler:echo (fun _t path ->
+        (* request 0 stalls the sender 200 ms; the 20 ms-spaced requests
+           that fell due meanwhile must carry that lateness *)
+        let body i =
+          if i = 0 then Unix.sleepf 0.2;
+          Printf.sprintf {|{"x": %d}|} i
+        in
+        match Serve_client.run ~socket:path ~rps:50.0 ~duration_s:0.4 ~body () with
+        | Error e -> Alcotest.fail e
+        | Ok r -> r)
+  in
+  Alcotest.(check int) "everything answered" r.Serve_client.sent r.Serve_client.ok;
+  let late = List.length (List.filter (fun us -> us >= 100_000.0) r.Serve_client.all_latency_us) in
+  Alcotest.(check bool) (Printf.sprintf "%d latencies >= 100 ms (want >= 4)" late) true (late >= 4)
+
 let suite =
   [
     Alcotest.test_case "malformed line: error + connection survives" `Quick
@@ -301,4 +357,9 @@ let suite =
       test_drain_answers_admitted;
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ())
       prop_served_equals_direct;
+    Alcotest.test_case "id-less requests echo the line sequence" `Quick test_id_rule;
+    Alcotest.test_case "bounded decoding: over-long line" `Quick test_line_cap;
+    Alcotest.test_case "bounded decoding: deep nesting" `Quick test_deep_line;
+    Alcotest.test_case "client latency counts sender lateness" `Quick
+      test_client_counts_sender_lateness;
   ]

@@ -15,9 +15,6 @@
    - engine reports served through the front (pacing client, UDS and
      TCP targets) are byte-identical to direct in-process runs. *)
 
-module E = Infinity_stream.Engine
-module R = Infinity_stream.Report
-
 let sock_counter = ref 0
 
 let sock_path tag =
@@ -31,25 +28,13 @@ let sock_path tag =
    [f], always drain; returns f's result, the final stats and the
    front's metrics registry (valid after the drain) *)
 let with_front ?(shards = 2) ?tcp_port ?(queue_depth = 64) ?tenant_quota
-    ?(low_watermark = 0.5) ?heartbeat_s ?(redispatch_max = 2) ?trace ~tag
-    ~handler f =
+    ?heartbeat_s ?(redispatch_max = 2) ?trace ~tag ~handler f =
   let path = sock_path tag in
   let cfg =
-    {
-      (Shard.default_config ~socket_path:path ~shards
-         ~backend:(Shard.Inproc handler))
-      with
-      tcp_port;
-      queue_depth;
-      tenant_quota;
-      low_watermark;
-      heartbeat_s;
-      redispatch_max;
-      connect_timeout_s = 5.0;
-    }
+    { (Serve.default_config ~socket_path:path) with tcp_port; queue_depth; tenant_quota }
   in
   let cfg = match trace with None -> cfg | Some tr -> { cfg with trace = tr } in
-  match Shard.start cfg with
+  match Shard.start cfg ~shards ~redispatch_max ?heartbeat_s (Shard.Inproc handler) with
   | Error e -> Alcotest.fail e
   | Ok t ->
     let final = ref (Shard.stats t) in
@@ -432,37 +417,15 @@ let test_live_replay_agreement () =
 
 (* ---- byte identity under the pacing client, UDS and TCP ---- *)
 
-let test_workloads =
-  [
-    ("vec_add", fun () -> Infs_workloads.Micro.vec_add ~n:1024);
-    ("array_sum", fun () -> Infs_workloads.Micro.array_sum ~n:1024);
-  ]
-
-let test_paradigms = [ ("base", E.Base); ("inf-s", E.Inf_s) ]
-
-(* mirrors the CLI handler: resolve the workload fresh per request, warm
-   per-shard compile cache (the thing cache-affine routing protects) *)
-let engine_handler j =
-  match
-    ( Option.bind (Json.member "workload" j) Json.to_str,
-      Option.bind (Json.member "paradigm" j) Json.to_str )
-  with
-  | Some w, Some p -> (
-    match (List.assoc_opt w test_workloads, List.assoc_opt p test_paradigms) with
-    | Some mk, Some paradigm -> (
-      let options = { E.default_options with share_compile = true } in
-      match E.run ~options paradigm (mk ()) with
-      | Ok r -> Ok (R.to_json r)
-      | Error e -> Error e)
-    | _ -> Error "unknown workload or paradigm")
-  | _ -> Error "spec needs workload and paradigm"
+let test_workloads = [ "vec_add"; "array_sum" ]
+let test_paradigms = [ "base"; "inf-s" ]
+let engine_handler = Infs_workloads.Spec.handler `Test ~faults:Fault.none
 
 let spec_bodies =
   List.concat_map
-    (fun (w, _) ->
+    (fun w ->
       List.map
-        (fun (p, _) ->
-          Printf.sprintf {|{"workload": %S, "paradigm": %S}|} w p)
+        (fun p -> Printf.sprintf {|{"workload": %S, "paradigm": %S}|} w p)
         test_paradigms)
     test_workloads
 
@@ -535,6 +498,26 @@ let test_client_tcp_byte_identity () =
   Alcotest.(check int) "both client connections accepted" 2
     st.Shard.connections
 
+(* ---- request lines: the loop's id rule and bounds, through the front ---- *)
+
+let test_id_rule () =
+  let (), st, _ =
+    with_front ~tag:"ids" ~handler:echo (fun _t path -> Test_serve.check_id_rule path)
+  in
+  Alcotest.(check int) "all six forwarded" 6 st.Shard.answered
+
+let test_line_cap () =
+  let (), st, _ =
+    with_front ~tag:"cap" ~handler:echo (fun _t path -> Test_serve.check_line_cap path)
+  in
+  Alcotest.(check int) "the over-long line is one bad request" 1 st.Shard.bad
+
+let test_deep_line () =
+  let (), st, _ =
+    with_front ~tag:"deep" ~handler:echo (fun _t path -> Test_serve.check_deep_line path)
+  in
+  Alcotest.(check int) "the deep line is one bad request" 1 st.Shard.bad
+
 let suite =
   [
     Alcotest.test_case "two shards answer everything" `Quick
@@ -558,4 +541,7 @@ let suite =
       test_client_uds_byte_identity;
     Alcotest.test_case "pacing client over TCP: byte-identical reports" `Quick
       test_client_tcp_byte_identity;
+    Alcotest.test_case "id-less requests echo the line sequence" `Quick test_id_rule;
+    Alcotest.test_case "bounded decoding: over-long line" `Quick test_line_cap;
+    Alcotest.test_case "bounded decoding: deep nesting" `Quick test_deep_line;
   ]

@@ -257,6 +257,18 @@ let test_table_float_fmt () =
   Alcotest.(check string) "small" "1.500e-04" (Table.fmt_float 0.00015);
   Alcotest.(check string) "fraction" "1.250" (Table.fmt_float 1.25)
 
+(* 512 levels parse; the 513th is rejected with an offset-carrying error
+   instead of recursing without bound on an untrusted line *)
+let test_json_depth_cap () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "depth 512 parses" true (Result.is_ok (Json.parse (nested 512)));
+  Alcotest.(check bool) "object nesting counts too" true
+    (Result.is_error (Json.parse (String.concat "" (List.init 513 (fun _ -> {|{"a":|})))));
+  match Json.parse (nested 513) with
+  | Ok _ -> Alcotest.fail "depth 513 accepted"
+  | Error e ->
+    Alcotest.(check string) "structured error" "json: nesting deeper than 512 at offset 512" e
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -278,6 +290,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_histogram_total;
     ("json float is total", `Quick, test_json_float_total);
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_json_float_roundtrip;
+    ("json nesting depth cap", `Quick, test_json_depth_cap);
     ("table render", `Quick, test_table_render);
     ("table float format", `Quick, test_table_float_fmt);
   ]
