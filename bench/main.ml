@@ -768,120 +768,61 @@ let dump_json ~suite ~meta file =
   close_out oc;
   Printf.printf "bench results: %d entries -> %s\n\n" (List.length results) file
 
-(* The metrics design contract: a disabled registry must cost one bool test
-   per instrumentation site. Measure that guard's cost directly, count the
-   sites a real run executes (Metrics.calls of an enabled run), and bound
-   the disabled-run overhead as guards x cost / wall-time — fail the bench
-   if the estimate crosses 2%. *)
-let metrics_overhead_check () =
+(* The disabled-instrumentation contract: with a hook off, each site a run
+   passes costs one cheap test. Measure the test's cost ([guard], 20M
+   iterations), take the number of sites one run passes ([sites], counted
+   on an armed run), and bound the disabled run's overhead as
+   sites x cost / wall time; fail the bench if the estimate crosses 2%. *)
+let overhead_workload = Infs_workloads.Stencil.stencil2d ~iters:2 ~n:256
+let overhead_run options = E.run_exn ~options E.Inf_s overhead_workload
+
+let overhead_check ~label ~guard ~sites =
   let guard_ns =
     let n = 20_000_000 in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to n do
-      if Metrics.enabled (Sys.opaque_identity Metrics.null) then
-        ignore (Sys.opaque_identity n)
+      if guard () then ignore (Sys.opaque_identity n)
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
   in
-  let w = Infs_workloads.Stencil.stencil2d ~iters:2 ~n:256 in
-  let m = Metrics.create () in
-  ignore (E.run_exn ~options:{ suite_options with E.metrics = m } E.Inf_s w);
-  let calls = Metrics.calls m in
   (* time the disabled run after a warmup (compile cache, allocator) *)
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
+  ignore (overhead_run suite_options);
   let t0 = Unix.gettimeofday () in
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
+  ignore (overhead_run suite_options);
   let wall = Unix.gettimeofday () -. t0 in
-  let overhead = float_of_int calls *. guard_ns *. 1e-9 /. Float.max 1e-9 wall in
+  let overhead = float_of_int sites *. guard_ns *. 1e-9 /. Float.max 1e-9 wall in
   Printf.printf
-    "metrics overhead: %d disabled guards x %.2f ns = %.4f%% of a %.1f ms \
-     run (budget 2%%)\n\n"
-    calls guard_ns (100.0 *. overhead) (1e3 *. wall);
+    "%s overhead: %d disabled guards x %.2f ns = %.4f%% of a %.1f ms run (budget 2%%)\n\n"
+    label sites guard_ns (100.0 *. overhead) (1e3 *. wall);
   if overhead >= 0.02 then begin
-    Printf.eprintf
-      "FAIL: disabled-metrics overhead %.2f%% exceeds the 2%% budget\n"
+    Printf.eprintf "FAIL: disabled-%s overhead %.2f%% exceeds the 2%% budget\n" label
       (100.0 *. overhead);
     exit 1
   end
 
-(* Same contract for the profiler: Prof.null must cost one bool test per
-   span site. Bound the disabled-run overhead as sites x guard cost /
-   wall-time; fail the bench if the estimate crosses 2%. *)
-let prof_overhead_check () =
-  let guard_ns =
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      if Prof.enabled (Sys.opaque_identity Prof.null) then
-        ignore (Sys.opaque_identity n)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let w = Infs_workloads.Stencil.stencil2d ~iters:2 ~n:256 in
+(* Three hooks: the instrumentation handle (one [Obs.on] test per emit
+   site, so this bounds the trace and the registry together; every emit
+   and every live-only registry write is one [Metrics.calls]), the span
+   profiler, and the fault hooks (one option match per draw site; a
+   zero-rate spec counts the draws of a run cycle-identical to a
+   disabled one). *)
+let overhead_checks () =
+  let metrics = Metrics.create () in
+  ignore (overhead_run { suite_options with E.metrics });
+  overhead_check ~label:"instrumentation-handle" ~sites:(Metrics.calls metrics) ~guard:(fun () ->
+      Obs.on (Sys.opaque_identity Obs.null));
   let prof = Prof.create () in
-  ignore (E.run_exn ~options:{ suite_options with E.prof } E.Inf_s w);
-  let calls = Prof.calls prof in
-  (* time the disabled run after a warmup (compile cache, allocator) *)
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
-  let t0 = Unix.gettimeofday () in
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
-  let wall = Unix.gettimeofday () -. t0 in
-  let overhead = float_of_int calls *. guard_ns *. 1e-9 /. Float.max 1e-9 wall in
-  Printf.printf
-    "prof overhead: %d disabled guards x %.2f ns = %.4f%% of a %.1f ms run \
-     (budget 2%%)\n\n"
-    calls guard_ns (100.0 *. overhead) (1e3 *. wall);
-  if overhead >= 0.02 then begin
-    Printf.eprintf
-      "FAIL: disabled-prof overhead %.2f%% exceeds the 2%% budget\n"
-      (100.0 *. overhead);
-    exit 1
-  end
-
-(* The fault-model contract mirrors the metrics one: with faults disabled
-   (the default) every instrumentation site costs one option test. Arm a
-   zero-rate spec (seed only, every probability 0.0) to count the draw
-   sites a real run passes through — the armed-but-never-firing run is
-   cycle-identical to a disabled one — then bound the disabled-run
-   overhead as sites x guard cost / wall-time; fail the bench if the
-   estimate crosses 2%. *)
-let fault_overhead_check () =
-  let guard_ns =
-    let n = 20_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      match Sys.opaque_identity (None : int option) with
-      | Some _ -> ignore (Sys.opaque_identity n)
-      | None -> ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let w = Infs_workloads.Stencil.stencil2d ~iters:2 ~n:256 in
-  let armed =
-    match Fault.parse "seed=42" with Ok s -> s | Error e -> failwith e
-  in
-  let r =
-    E.run_exn ~options:{ suite_options with E.faults = armed } E.Inf_s w
-  in
+  ignore (overhead_run { suite_options with E.prof });
+  overhead_check ~label:"prof" ~sites:(Prof.calls prof) ~guard:(fun () ->
+      Prof.enabled (Sys.opaque_identity Prof.null));
+  let armed = match Fault.parse "seed=42" with Ok s -> s | Error e -> failwith e in
   let draws =
-    match r.R.faults with Some f -> f.R.draws | None -> failwith "no fault summary"
+    match (overhead_run { suite_options with E.faults = armed }).R.faults with
+    | Some f -> f.R.draws
+    | None -> failwith "no fault summary"
   in
-  (* time the disabled run after a warmup (compile cache, allocator) *)
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
-  let t0 = Unix.gettimeofday () in
-  ignore (E.run_exn ~options:suite_options E.Inf_s w);
-  let wall = Unix.gettimeofday () -. t0 in
-  let overhead = float_of_int draws *. guard_ns *. 1e-9 /. Float.max 1e-9 wall in
-  Printf.printf
-    "fault-hook overhead: %d disabled guards x %.2f ns = %.4f%% of a %.1f ms \
-     run (budget 2%%)\n\n"
-    draws guard_ns (100.0 *. overhead) (1e3 *. wall);
-  if overhead >= 0.02 then begin
-    Printf.eprintf
-      "FAIL: disabled-fault-hook overhead %.2f%% exceeds the 2%% budget\n"
-      (100.0 *. overhead);
-    exit 1
-  end
+  overhead_check ~label:"fault-hook" ~sites:draws ~guard:(fun () ->
+      match Sys.opaque_identity (None : int option) with Some _ -> true | None -> false)
 
 (* ---------- attention sweep: sequence-length x paradigm crossover ----------
 
@@ -1130,9 +1071,7 @@ let smoke () =
   fig14 entries;
   jit_overheads entries;
   sim_rate_section ();
-  metrics_overhead_check ();
-  prof_overhead_check ();
-  fault_overhead_check ()
+  overhead_checks ()
 
 let () =
   print_endline "infinity stream - benchmark harness (ASPLOS'23 evaluation)";

@@ -107,7 +107,7 @@ let compile_key (options : options) (w : Workload.t) =
     cache := (w.prog, options.cfg, options.optimize, d) :: prev;
     d
 
-let compile (options : options) (w : Workload.t) =
+let compile obs (options : options) (w : Workload.t) =
   if not options.share_compile then
     Fat_binary.compile ~optimize:options.optimize w.prog
   else begin
@@ -116,17 +116,13 @@ let compile (options : options) (w : Workload.t) =
       Ccache.find_or_compute compile_cache ~key (fun () ->
           Fat_binary.compile ~optimize:options.optimize w.prog)
     in
-    if Trace.enabled options.trace then
-      Trace.emit options.trace
+    if Obs.on obs then
+      Obs.emit obs
         (Trace.Counter
            {
              name = (if hit then "compile_cache.hits" else "compile_cache.misses");
              value = 1.0;
            });
-    if Metrics.enabled options.metrics then
-      Metrics.incr options.metrics
-        (if hit then "compile_cache.hits" else "compile_cache.misses")
-        1.0;
     fb
   end
 
@@ -264,6 +260,7 @@ type decision_acc = {
 
 type state = {
   opts : options;
+  obs : Obs.t;
   paradigm : paradigm;
   fb : Fat_binary.t;
   env : Interp.env;
@@ -296,11 +293,10 @@ type state = {
 }
 
 let cfgv st = st.opts.cfg
-let tracev st = st.opts.trace
-let metricsv st = st.opts.metrics
-let profv st = st.opts.prof
+let profv st = Obs.prof st.obs
 
-(* Every Breakdown charge goes through here so the trace's per-category
+(* Every Breakdown charge goes through here and emits one [cycles.<cat>]
+   counter event with the identical float, so the trace's per-category
    cycle counters and the metric registry's [cycles{cat}] histograms
    accumulate the identical floats in the identical order — that is what
    lets the trace and metrics tests reconcile against the Report with 0.0
@@ -311,44 +307,39 @@ let charge st cat v =
     match cat with
     | `Dram ->
       bd.Breakdown.dram <- bd.Breakdown.dram +. v;
-      "dram"
+      "cycles.dram"
     | `Jit ->
       bd.Breakdown.jit <- bd.Breakdown.jit +. v;
-      "jit"
+      "cycles.jit"
     | `Move ->
       bd.Breakdown.move <- bd.Breakdown.move +. v;
-      "move"
+      "cycles.move"
     | `Compute ->
       bd.Breakdown.compute <- bd.Breakdown.compute +. v;
-      "compute"
+      "cycles.compute"
     | `Final_reduce ->
       bd.Breakdown.final_reduce <- bd.Breakdown.final_reduce +. v;
-      "final_reduce"
+      "cycles.final_reduce"
     | `Mix ->
       bd.Breakdown.mix <- bd.Breakdown.mix +. v;
-      "mix"
+      "cycles.mix"
     | `Near_mem ->
       bd.Breakdown.near_mem <- bd.Breakdown.near_mem +. v;
-      "near_mem"
+      "cycles.near_mem"
     | `Core ->
       bd.Breakdown.core <- bd.Breakdown.core +. v;
-      "core"
+      "cycles.core"
   in
-  Trace.add_cycles (tracev st) name v;
-  if Metrics.enabled (metricsv st) then
-    Metrics.Sim.cycles (metricsv st) ~cat:name v
+  if Obs.on st.obs then Obs.emit st.obs (Trace.Counter { name; value = v })
 
 (* Per kernel, cycles are accumulated per execution target; the report
    shows the dominant target (a region can change sides across host-loop
    iterations, e.g. gauss's shrinking trailing matrix). *)
 let note_timeline st kname where cycles =
-  if Trace.enabled (tracev st) then
-    Trace.emit (tracev st)
+  if Obs.on st.obs then
+    Obs.emit st.obs
       (Trace.Region_exec
          { kernel = kname; where = Report.where_to_string where; cycles });
-  if Metrics.enabled (metricsv st) then
-    Metrics.Sim.region_exec (metricsv st) ~kernel:kname
-      ~where:(Report.where_to_string where) ~cycles;
   if not (Hashtbl.mem st.timeline kname) then
     st.timeline_order <- st.timeline_order @ [ kname ];
   let prev = Option.value ~default:[] (Hashtbl.find_opt st.timeline kname) in
@@ -537,13 +528,8 @@ let run_core_body st ~threads ~(w : Workset.t) (region : Fat_binary.region) =
   let r =
     Corem.run (cfgv st) st.traffic w ~threads ~cold_bytes:cold ~first_invocation
   in
-  if cold > 0.0 && Trace.enabled (tracev st) then
-    Trace.emit (tracev st)
-      (Trace.Dram_burst { bytes = cold; cycles = r.Corem.dram_cycles });
-  if cold > 0.0 && Metrics.enabled (metricsv st) then
-    Metrics.Sim.dram_burst (metricsv st)
-      ~channels:(cfgv st).Machine_config.mem_ctrls ~bytes:cold
-      ~cycles:r.Corem.dram_cycles;
+  if cold > 0.0 && Obs.on st.obs then
+    Obs.emit st.obs (Trace.Dram_burst { bytes = cold; cycles = r.Corem.dram_cycles });
   charge st `Core (r.Corem.cycles -. r.dram_cycles);
   charge st `Dram r.dram_cycles;
   st.events.Energy.core_flops <- st.events.Energy.core_flops +. w.flops;
@@ -841,10 +827,8 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
     arrays;
   let prep =
     Float.max
-      (Dram.load_traced ~metrics:(metricsv st) ~prof:(profv st)
-         ?faults:st.faults (tracev st) cfg ~bytes:!dram_bytes)
-      (Dram.transpose_traced ~metrics:(metricsv st) ~prof:(profv st)
-         ?faults:st.faults (tracev st) cfg ~bytes:!transpose_bytes)
+      (Dram.load_traced ?faults:st.faults st.obs cfg ~bytes:!dram_bytes)
+      (Dram.transpose_traced ?faults:st.faults st.obs cfg ~bytes:!transpose_bytes)
   in
   charge st `Dram prep;
   st.events.Energy.dram_bytes <- st.events.Energy.dram_bytes +. !dram_bytes;
@@ -855,7 +839,7 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
     (* span count == [jit_invocations] (memo hits included — the memoized
        lookup is itself JIT-phase work) *)
     Prof.span (profv st) "jit" (fun () ->
-        Jit.lower_memo ~trace:(tracev st) ~doms st.memo ~key cfg g ~schedule
+        Jit.lower_memo ~obs:st.obs ~doms st.memo ~key cfg g ~schedule
           ~layout
           ~env:(Interp.lookup_int st.env))
   in
@@ -863,13 +847,6 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
   if not jst.Jit.memoized then begin
     st.jit_nonmemo <- st.jit_nonmemo + 1;
     st.jit_commands <- st.jit_commands + jst.Jit.commands
-  end;
-  (* mirrors the Memo / Jit_span Exit events [Jit.lower_memo] emits *)
-  if Metrics.enabled (metricsv st) then begin
-    Metrics.Sim.memo (metricsv st) ~hit:jst.Jit.memoized;
-    if not jst.Jit.memoized then
-      Metrics.Sim.jit_exit (metricsv st) ~commands:jst.Jit.commands
-        ~cycles:jst.Jit.jit_cycles
   end;
   let jit_cycles =
     if st.opts.charge_jit && st.paradigm <> Inf_s_nojit then jst.Jit.jit_cycles
@@ -925,10 +902,7 @@ let run_in_memory st ~w ~doms ~dsig region layout schedule =
 (* ----- fault mitigation ----- *)
 
 let fault_note st ~site ~action ~detail ~cycles =
-  if Trace.enabled (tracev st) then
-    Trace.emit (tracev st) (Trace.Fault { site; action; detail; cycles });
-  if Metrics.enabled (metricsv st) then
-    Metrics.Sim.fault (metricsv st) ~site ~action ~cycles
+  if Obs.on st.obs then Obs.emit st.obs (Trace.Fault { site; action; detail; cycles })
 
 (* Bounded retry loop around one kernel attempt. [f ()] returns success;
    a failed attempt's Breakdown delta is wasted time — accounted, traced,
@@ -968,10 +942,7 @@ let exec_near st ~w (region : Fat_binary.region) =
     with_retries st fi ~site:"watchdog" ~kname
       (fun () -> run_near st ~w region)
       ~fallback:(fun () ->
-        Decision.fault_fallback ~trace:(tracev st) ~kernel:kname ~site:"watchdog"
-          ~target:"core" ();
-        if Metrics.enabled (metricsv st) then
-          Metrics.Sim.decision (metricsv st) ~target:"core";
+        Decision.fault_fallback ~obs:st.obs ~kernel:kname ~site:"watchdog" ~target:"core" ();
         run_core st ~threads:(cfgv st).Machine_config.cores ~w region)
 
 (* In-memory with SRAM-flip mitigation: retry (residency and the JIT memo
@@ -988,10 +959,7 @@ let exec_in_memory st ~w ~doms ~dsig (region : Fat_binary.region) layout
       (fun () -> run_in_memory st ~w ~doms ~dsig region layout schedule)
       ~fallback:(fun () ->
         let target = if st.paradigm = In_l3 then "core" else "near-memory" in
-        Decision.fault_fallback ~trace:(tracev st) ~kernel:kname ~site:"sram"
-          ~target ();
-        if Metrics.enabled (metricsv st) then
-          Metrics.Sim.decision (metricsv st) ~target;
+        Decision.fault_fallback ~obs:st.obs ~kernel:kname ~site:"sram" ~target ();
         if st.paradigm = In_l3 then
           run_core st ~threads:(cfgv st).Machine_config.cores ~w region
         else exec_near st ~w region)
@@ -1053,7 +1021,7 @@ let on_kernel st _env (k : Ast.kernel) =
             (* span count == [Offload_decision] trace events: this is the
                only caller of [Decision.decide] in the engine *)
             Prof.span (profv st) "decide" (fun () ->
-                Decision.decide ~trace:(tracev st) ~kernel:k.Ast.kname
+                Decision.decide ~obs:st.obs ~kernel:k.Ast.kname
                   ~override:ov (cfgv st)
                   ~ops:(Tdfg.op_multiset g)
                   ~node_count:(Tdfg.node_count g) ~dtype:(Tdfg.dtype g) ~elems
@@ -1075,11 +1043,7 @@ let on_kernel st _env (k : Ast.kernel) =
             | Decision.Auto | Decision.Force_imc ->
               exec_in_memory st ~w ~doms ~dsig region layout schedule
             | Decision.Force_core ->
-              let verdict = decide Decision.Force_core in
-              note_decision st k.Ast.kname verdict;
-              if Metrics.enabled (metricsv st) then
-                Metrics.Sim.decision (metricsv st)
-                  ~target:(Decision.target_name verdict.Decision.target);
+              note_decision st k.Ast.kname (decide Decision.Force_core);
               fallback ()
           end
           else begin
@@ -1091,9 +1055,6 @@ let on_kernel st _env (k : Ast.kernel) =
                   (match verdict.target with
                   | Decision.In_memory -> "in-mem"
                   | Decision.Near_memory -> "near"));
-            if Metrics.enabled (metricsv st) then
-              Metrics.Sim.decision (metricsv st)
-                ~target:(Decision.target_name verdict.Decision.target);
             match verdict.Decision.target with
             | Decision.In_memory -> exec_in_memory st ~w ~doms ~dsig region layout schedule
             | Decision.Near_memory -> fallback ()
@@ -1129,8 +1090,8 @@ let max_err st (w : Workload.t) =
 
 (* ----- entry point ----- *)
 
-let run_with options paradigm (w : Workload.t) =
-  match Prof.span options.prof "compile" (fun () -> compile options w) with
+let run_with obs options paradigm (w : Workload.t) =
+  match Prof.span options.prof "compile" (fun () -> compile obs options w) with
   | Error e -> Error e
   | Ok fb -> begin
     match Interp.create w.prog ~params:w.params with
@@ -1153,12 +1114,11 @@ let run_with options paradigm (w : Workload.t) =
       let st =
         {
           opts = options;
+          obs;
           paradigm;
           fb;
           env;
-          traffic =
-            Traffic.create ~trace:options.trace ~metrics:options.metrics
-              ~prof:options.prof ?faults options.cfg;
+          traffic = Traffic.create ~obs ?faults options.cfg;
           faults;
           fault_retries = 0;
           fault_fallbacks = 0;
@@ -1303,7 +1263,12 @@ let run_with options paradigm (w : Workload.t) =
    engine;compile / engine;run;{core,near,imc,decide} /
    engine;run;imc;{jit,imc.execute,dram.*} and so on. *)
 let run ?(options = default_options) paradigm (w : Workload.t) =
-  Prof.span options.prof "engine" (fun () -> run_with options paradigm w)
+  let cfg = options.cfg in
+  let geometry =
+    { Metrics.mesh_x = cfg.mesh_x; mesh_y = cfg.mesh_y; banks = cfg.l3_banks; channels = cfg.mem_ctrls }
+  in
+  let obs = Obs.create ~trace:options.trace ~metrics:options.metrics ~prof:options.prof ~geometry in
+  Prof.span options.prof "engine" (fun () -> run_with obs options paradigm w)
 
 let run_exn ?options paradigm w =
   match run ?options paradigm w with

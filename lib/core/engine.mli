@@ -45,47 +45,52 @@ type options = {
       (** with [warm_data], in-memory paradigms additionally skip the
           transposition — Fig. 2's "already transposed" assumption *)
   trace : Trace.t;
-      (** structured-event trace context (default {!Trace.null}, a no-op).
-          With an enabled context the engine and every instrumented
-          component emit typed events, and the per-category cycle counters
+      (** structured-event trace sink (default {!Trace.null}, a no-op).
+          [run] builds one {!Obs.t} handle from [trace], [metrics] and
+          [prof] (with the mesh, bank and channel geometry of [cfg]) and
+          threads it through the engine and every instrumented component;
+          each event goes through the handle once, written here and
+          folded into [metrics]. The per-category cycle counters
           ([cycles.dram], [cycles.core], …) reconcile exactly — identical
           floats, identical accumulation order — with [Report.breakdown];
           [noc.bytes.*] / [local.bytes.*] likewise match the traffic
           totals. Traces are deterministic given (workload, paradigm,
           options). *)
   metrics : Metrics.t;
-      (** metric registry (default [Metrics.null], a no-op). With an
-          enabled registry the engine and every instrumented component
-          record labeled counters/gauges/histograms: per-category and
-          per-link NoC load, per-bank SRAM occupancy and command-latency
-          histograms, DRAM burst/channel series, near-memory stall
-          breakdown, JIT lowering/memo series and the [cycles{cat}]
-          histograms whose sums reconcile exactly with
-          [Report.breakdown]. Registries are single-domain: batch jobs
-          each create their own. *)
+      (** metric registry (default [Metrics.null], a no-op). An enabled
+          registry receives the fold ({!Metrics.apply}) of every event
+          the run emits — per-category and per-link NoC load, per-bank
+          SRAM occupancy and command-latency histograms, DRAM
+          burst/channel series, JIT lowering/memo series, decisions,
+          faults and the [cycles{cat}] histograms whose sums reconcile
+          exactly with [Report.breakdown] — so replaying the run's trace
+          rebuilds it. The near-memory stall breakdown ([near.cycles],
+          [near.bound]) has no event and is written directly (live-only).
+          Registries are single-domain: batch jobs each create their
+          own. *)
   prof : Prof.t;
-      (** host-time span profiler (default [Prof.null], a no-op). With an
-          enabled registry the engine wraps its phases in spans — root
-          ["engine"], then ["compile"] and ["run"], with per-region
-          ["core"]/["near"]/["imc"] spans, the Eq. 2 ["decide"] span and
-          the ["jit"] span nested under [run] — and the instrumented sim
-          components ([Imc], [Near], [Corem], [Dram], [Traffic]) add
-          their own leaves below. Span {b counts} are deterministic and
-          reconcile with trace/metrics counters ([core]/[near]/[imc]
-          counts equal the [Region_exec] per-target event counts, [jit]
-          equals the report's JIT invocations, [decide] equals the
-          [Offload_decision] event count); span {b times} are host
-          wall-clock and vary run to run. Registries are single-domain:
-          batch jobs each create their own and merge. *)
+      (** host-time span profiler (default [Prof.null], a no-op), carried
+          in the run's handle. With an enabled registry the engine wraps
+          its phases in spans — root ["engine"], then ["compile"] and
+          ["run"], with per-region ["core"]/["near"]/["imc"] spans, the
+          Eq. 2 ["decide"] span and the ["jit"] span nested under [run] —
+          and the instrumented sim components ([Imc], [Near], [Corem],
+          [Dram], [Traffic]) add their own leaves below. Span {b counts}
+          are deterministic and reconcile with trace/metrics counters
+          ([core]/[near]/[imc] counts equal the [Region_exec] per-target
+          event counts, [jit] equals the report's JIT invocations,
+          [decide] equals the [Offload_decision] event count); span {b
+          times} are host wall-clock and vary run to run. Registries are
+          single-domain: batch jobs each create their own and merge. *)
   share_compile : bool;
       (** look up / publish the compiled fat binary in the process-wide
           content-addressed compile cache (keyed by a digest of the program
           text, the machine configuration and the optimizer flag) instead
           of compiling privately. Used by the batch/bench paths, where many
           jobs share programs; single runs default to [false] so their
-          behavior (and golden traces) is byte-identical to before. When
-          the trace is enabled, each lookup bumps a [compile_cache.hits] /
-          [compile_cache.misses] trace counter. *)
+          behavior (and golden traces) is byte-identical to before. Each
+          lookup emits a [compile_cache.hits] / [compile_cache.misses]
+          counter event. *)
   faults : Fault.spec;
       (** seeded hardware-fault model (default {!Fault.none}: no injector
           is installed and the run is byte-identical to a faultless

@@ -83,21 +83,25 @@ let get_cell r kind name labels =
 let cell_add c x = c.v <- c.v +. x
 
 (* Smallest e with v <= 2^e (so v lands in (2^(e-1), 2^e]), clamped to keep
-   the series bounded. *)
+   the series bounded; +inf is over range like any huge sample ([frexp]
+   gives it exponent 0). *)
 let bucket_exp v =
   let m, e = Float.frexp v in
   let e = if m = 0.5 then e - 1 else e in
-  if e < -64 then -64 else if e > 128 then 128 else e
+  if v = Float.infinity || e > 128 then 128 else if e < -64 then -64 else e
 
+(* NaN samples are ignored, as [Stats.minimum]/[maximum] ignore them. *)
 let cell_observe c x =
-  c.count <- c.count + 1;
-  c.sum <- c.sum +. x;
-  if x <= 0.0 then c.zero <- c.zero + 1
-  else begin
-    let e = bucket_exp x in
-    match Hashtbl.find_opt c.bkts e with
-    | Some n -> incr n
-    | None -> Hashtbl.add c.bkts e (ref 1)
+  if not (Float.is_nan x) then begin
+    c.count <- c.count + 1;
+    c.sum <- c.sum +. x;
+    if x <= 0.0 then c.zero <- c.zero + 1
+    else begin
+      let e = bucket_exp x in
+      match Hashtbl.find_opt c.bkts e with
+      | Some n -> incr n
+      | None -> Hashtbl.add c.bkts e (ref 1)
+    end
   end
 
 (* ----- public updates ----- *)
@@ -399,151 +403,91 @@ let bank_cells_of r ~banks =
 let label_offset label =
   String.fold_left (fun acc c -> acc + Char.code c) 0 label
 
-(* ----- event-shaped instrumentation ----- *)
 
-module Sim = struct
-  let noc_packet t ~mx ~my ~cat ~bytes ~hops ~packets =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      let labels = [ ("cat", cat) ] in
-      (* identical accumulation expressions, in identical order, to the
-         Traffic buckets — byte/byte-hop totals are bit-equal to Report *)
-      cell_add (get_cell r Counter "noc.bytes" labels) bytes;
-      cell_add (get_cell r Counter "noc.byte_hops" labels) (bytes *. hops);
-      cell_add (get_cell r Counter "noc.packets" labels) packets;
-      cell_observe (get_cell r Histogram "noc.packet_bytes" labels) bytes;
-      let m = mesh_of r ~mx ~my in
-      if m.wtotal > 0.0 then begin
-        let bh = bytes *. hops in
-        Array.iteri
-          (fun i c -> cell_add c (bh *. m.weights.(i) /. m.wtotal))
-          m.link_cells
-      end
+(* ----- the event fold ----- *)
 
-  let local_move t ~channel ~bytes =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "local.bytes" [ ("channel", channel) ]) bytes
+type geometry = { mesh_x : int; mesh_y : int; banks : int; channels : int }
 
-  let sram_cmd t ~banks ~kind ~label ~tiles ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      let labels = [ ("kind", kind) ] in
-      cell_add (get_cell r Counter "sram.commands" labels) 1.0;
-      cell_observe (get_cell r Histogram "imc.cmd_cycles" labels) cycles;
-      if banks > 0 then begin
-        let cells = bank_cells_of r ~banks in
-        let n = max 1 (min tiles banks) in
-        let start = label_offset label mod banks in
-        for i = 0 to n - 1 do
-          cell_add cells.((start + i) mod banks) cycles
-        done
-      end
+let default_geometry = { mesh_x = 8; mesh_y = 8; banks = 64; channels = 16 }
 
-  let sync_barrier t ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "sync.barriers" []) 1.0;
-      cell_add (get_cell r Counter "sync.cycles" []) cycles
+let add r kind name labels x = cell_add (get_cell r kind name labels) x
+let hist r name labels x = cell_observe (get_cell r Histogram name labels) x
 
-  let dram_burst t ~channels ~bytes ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      let bursts = get_cell r Counter "dram.bursts" [] in
-      let seq = int_of_float bursts.v in
-      cell_add bursts 1.0;
-      cell_add (get_cell r Counter "dram.bytes" []) bytes;
-      cell_add (get_cell r Counter "dram.busy_cycles" []) cycles;
-      cell_observe (get_cell r Histogram "dram.burst_bytes" []) bytes;
-      if channels > 0 then
-        (* round-robin channel interleave in burst order — deterministic
-           and reproducible from the event stream alone *)
-        cell_add
-          (get_cell r Gauge "dram.channel.bytes"
-             [ ("ch", Printf.sprintf "%02d" (seq mod channels)) ])
-          bytes
+let fold r geo (ev : Trace.event) =
+  match ev with
+  | Noc_packet { dir = Send; category; bytes; hops; packets } ->
+    let labels = [ ("cat", category) ] in
+    (* identical accumulation expressions, in identical order, to the
+       Traffic buckets — byte/byte-hop totals are bit-equal to Report *)
+    add r Counter "noc.bytes" labels bytes;
+    add r Counter "noc.byte_hops" labels (bytes *. hops);
+    add r Counter "noc.packets" labels packets;
+    hist r "noc.packet_bytes" labels bytes;
+    let m = mesh_of r ~mx:geo.mesh_x ~my:geo.mesh_y in
+    if m.wtotal > 0.0 then begin
+      let bh = bytes *. hops in
+      Array.iteri (fun i c -> cell_add c (bh *. m.weights.(i) /. m.wtotal)) m.link_cells
+    end
+  | Local_move { channel; bytes } -> add r Counter "local.bytes" [ ("channel", channel) ] bytes
+  | Sram_cmd { phase = Retire; kind; label; tiles; cycles; _ } ->
+    let labels = [ ("kind", kind) ] in
+    add r Counter "sram.commands" labels 1.0;
+    hist r "imc.cmd_cycles" labels cycles;
+    let banks = geo.banks in
+    if banks > 0 then begin
+      let cells = bank_cells_of r ~banks in
+      let n = max 1 (min tiles banks) in
+      let start = label_offset label mod banks in
+      for i = 0 to n - 1 do
+        cell_add cells.((start + i) mod banks) cycles
+      done
+    end
+  | Sync_barrier { cycles } ->
+    add r Counter "sync.barriers" [] 1.0;
+    add r Counter "sync.cycles" [] cycles
+  | Dram_burst { bytes; cycles } ->
+    let bursts = get_cell r Counter "dram.bursts" [] in
+    let seq = int_of_float bursts.v in
+    cell_add bursts 1.0;
+    add r Counter "dram.bytes" [] bytes;
+    add r Counter "dram.busy_cycles" [] cycles;
+    hist r "dram.burst_bytes" [] bytes;
+    if geo.channels > 0 then
+      (* round-robin channel interleave in burst order — deterministic
+         and reproducible from the event stream alone *)
+      add r Gauge "dram.channel.bytes"
+        [ ("ch", Printf.sprintf "%02d" (seq mod geo.channels)) ]
+        bytes
+  | Ttu_transpose { bytes; cycles } ->
+    add r Counter "ttu.bytes" [] bytes;
+    add r Counter "ttu.cycles" [] cycles;
+    hist r "ttu.transpose_bytes" [] bytes
+  | Jit_span { dir = Exit; commands; cycles; _ } ->
+    add r Counter "jit.lowerings" [] 1.0;
+    add r Counter "jit.commands" [] (float_of_int commands);
+    hist r "jit.lower_cycles" [] cycles
+  | Memo { hit; _ } ->
+    add r Counter (if hit then "jit.memo_hits" else "jit.memo_misses") [] 1.0
+  | Offload_decision { target; _ } -> add r Counter "decision" [ ("target", target) ] 1.0
+  | Region_exec { kernel; where; cycles } ->
+    add r Counter "regions" [ ("where", where) ] 1.0;
+    add r Gauge "region.cycles" [ ("kernel", kernel); ("where", where) ] cycles
+  | Fault { site; action; cycles; _ } ->
+    add r Counter "fault" [ ("site", site); ("action", action) ] 1.0;
+    if cycles > 0.0 then add r Counter "fault.cycles" [ ("site", site) ] cycles
+  | Counter { name; value } ->
+    if String.length name > 7 && String.starts_with ~prefix:"cycles." name then
+      hist r "cycles" [ ("cat", String.sub name 7 (String.length name - 7)) ] value
+    else add r Counter name [] value
+  | Noc_packet { dir = Deliver; _ }
+  | Sram_cmd { phase = Issue; _ }
+  | Jit_span { dir = Enter; _ }
+  | Request_span _ ->
+    ()
 
-  let ttu t ~bytes ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "ttu.bytes" []) bytes;
-      cell_add (get_cell r Counter "ttu.cycles" []) cycles;
-      cell_observe (get_cell r Histogram "ttu.transpose_bytes" []) bytes
-
-  let jit_exit t ~commands ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "jit.lowerings" []) 1.0;
-      cell_add (get_cell r Counter "jit.commands" []) (float_of_int commands);
-      cell_observe (get_cell r Histogram "jit.lower_cycles" []) cycles
-
-  let memo t ~hit =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add
-        (get_cell r Counter (if hit then "jit.memo_hits" else "jit.memo_misses") [])
-        1.0
-
-  let decision t ~target =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "decision" [ ("target", target) ]) 1.0
-
-  let fault t ~site ~action ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add
-        (get_cell r Counter "fault" [ ("site", site); ("action", action) ])
-        1.0;
-      if cycles > 0.0 then
-        cell_add (get_cell r Counter "fault.cycles" [ ("site", site) ]) cycles
-
-  let region_exec t ~kernel ~where ~cycles =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_add (get_cell r Counter "regions" [ ("where", where) ]) 1.0;
-      cell_add
-        (get_cell r Gauge "region.cycles"
-           [ ("kernel", kernel); ("where", where) ])
-        cycles
-
-  let cycles t ~cat x =
-    match t with
-    | None -> ()
-    | Some r ->
-      r.ncalls <- r.ncalls + 1;
-      cell_observe (get_cell r Histogram "cycles" [ ("cat", cat) ]) x
-
-  let counter t ~name ~value =
-    match t with
-    | None -> ()
-    | Some r ->
-      if String.length name > 7 && String.sub name 0 7 = "cycles." then
-        cycles t ~cat:(String.sub name 7 (String.length name - 7)) value
-      else begin
-        r.ncalls <- r.ncalls + 1;
-        cell_add (get_cell r Counter name []) value
-      end
-end
+let apply t geo ev =
+  match t with
+  | None -> ()
+  | Some r ->
+    r.ncalls <- r.ncalls + 1;
+    fold r geo ev

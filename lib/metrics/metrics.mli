@@ -1,10 +1,12 @@
 (** Labeled metrics: counters, gauges and log2-bucketed histograms.
 
-    Zero third-party dependencies (stdlib + [infs_util] only). Mirrors the
-    design of {!Trace.t}: {!null} is a permanently disabled registry, every
-    hot call site guards on {!enabled} (one bool test), and a disabled
-    registry performs no allocation or hashing — the bench asserts the
-    overhead of the disabled guards stays under 2% of a smoke run.
+    Zero third-party dependencies (stdlib, [infs_util], and [infs_trace]
+    for the event type it folds). {!null} is a permanently disabled
+    registry that performs no allocation or hashing. The simulator does
+    not write to a registry directly: it emits events through an {!Obs.t}
+    handle, which folds each one here with {!apply}; only live-only
+    series (near-memory stall causes, serve queue depth and latency, pool
+    utilization) are written with {!incr}/{!gauge_add}/{!observe}.
 
     Series are keyed by (metric name, sorted label set). Updates are not
     thread-safe: a registry belongs to one domain (batch jobs each create
@@ -13,7 +15,7 @@
     Determinism: {!snapshot} is sorted by (name, labels); float
     accumulations happen in call order, so a metric that mirrors a
     simulator accumulator (e.g. [noc.byte_hops{cat}] vs. [Traffic]) is
-    bit-identical to it, and replaying a JSONL trace through {!Sim}
+    bit-identical to it, and replaying a JSONL trace through {!apply}
     reproduces the live registry exactly. *)
 
 type t
@@ -27,7 +29,7 @@ val enabled : t -> bool
 
 val calls : t -> int
 (** Number of instrumentation calls applied ([incr]/[gauge_add]/[observe]/
-    [Sim.*] each count once, whatever fan-out they perform internally).
+    [apply] each count once, whatever fan-out they perform internally).
     Used by the bench to bound the disabled-guard overhead. *)
 
 (** {1 Updates} — all no-ops on {!null}. [labels] default to []. *)
@@ -41,8 +43,10 @@ val gauge_add : t -> ?labels:(string * string) list -> string -> float -> unit
 val observe : t -> ?labels:(string * string) list -> string -> float -> unit
 (** Record a sample into a histogram with power-of-two bucket boundaries:
     a sample [v > 0] lands in the bucket [(2^(e-1), 2^e]] with the smallest
-    such [e]; [v <= 0] lands in a dedicated zero bucket. The running [sum]
-    accumulates samples in call order (exact reconciliation). *)
+    such [e], clamped to [-64 <= e <= 128] (so [+inf] lands in the top
+    bucket); [v <= 0] lands in a dedicated zero bucket. A NaN sample is
+    ignored. The running [sum] accumulates samples in call order (exact
+    reconciliation). *)
 
 val value : t -> ?labels:(string * string) list -> string -> float
 (** Current value of a counter/gauge series; 0 if absent or disabled. *)
@@ -91,63 +95,54 @@ val write_file : t -> string -> unit
     [.shard<i>] / [.front] suffix ({!Side_file.has_ext}). No-op on
     {!null}. *)
 
-(** {1 Event-shaped instrumentation}
+(** {1 The event fold}
 
-    One function per trace-event shape, shared verbatim between the live
-    simulator call sites and the offline trace replayer ({!Trace_replay})
-    so both produce identical registries. Mesh/bank geometry is passed as
-    plain ints to keep this library independent of [infs_sim]. *)
-module Sim : sig
-  val noc_packet :
-    t ->
-    mx:int ->
-    my:int ->
-    cat:string ->
-    bytes:float ->
-    hops:float ->
-    packets:float ->
-    unit
-  (** Per-category [noc.bytes]/[noc.byte_hops]/[noc.packets] counters
-      (mirroring [Traffic] buckets exactly), a [noc.packet_bytes{cat}]
-      size histogram, and per-link [noc.link.byte_hops{link}] gauges: the
-      packet's byte-hops are spread over the [mx]×[my] mesh links in
-      proportion to static XY-routing traversal weights (uniform
-      bank-to-bank pairs), labeling links ["sx,sy>dx,dy"]. *)
+    The registry is a fold of the {!Trace.event} stream: {!apply} is the
+    one place an event becomes series. The live path ({!Obs.emit}) and
+    offline replay ({!Trace_replay}) both call it, so a replayed trace
+    rebuilds the live registry by construction. Mesh/bank/channel
+    geometry is passed as plain ints to keep this library independent of
+    [infs_sim]. *)
 
-  val local_move : t -> channel:string -> bytes:float -> unit
+type geometry = {
+  mesh_x : int;  (** mesh columns, for per-link NoC load *)
+  mesh_y : int;  (** mesh rows *)
+  banks : int;  (** SRAM banks, for per-bank occupancy *)
+  channels : int;  (** DRAM channels, for the burst interleave *)
+}
 
-  val sram_cmd :
-    t ->
-    banks:int ->
-    kind:string ->
-    label:string ->
-    tiles:int ->
-    cycles:float ->
-    unit
-  (** Retired bit-serial command: [sram.commands{kind}] counter,
+val default_geometry : geometry
+(** The paper's machine: an 8x8 mesh, 64 banks, 16 channels. *)
+
+val apply : t -> geometry -> Trace.event -> unit
+(** Fold one event into the registry (counts as one call):
+    - [Noc_packet] [Send]: per-category [noc.bytes]/[noc.byte_hops]/
+      [noc.packets] counters (mirroring [Traffic] buckets exactly), a
+      [noc.packet_bytes{cat}] size histogram, and per-link
+      [noc.link.byte_hops{link}] gauges — the packet's byte-hops spread
+      over the mesh links in proportion to static XY-routing traversal
+      weights (uniform bank-to-bank pairs), links labeled ["sx,sy>dx,dy"];
+    - [Local_move]: [local.bytes{channel}];
+    - [Sram_cmd] [Retire]: [sram.commands{kind}], the
       [imc.cmd_cycles{kind}] latency histogram, and per-bank
-      [imc.bank.busy_cycles{bank}] occupancy over [min tiles banks]
-      banks starting at a deterministic label-derived offset. *)
+      [imc.bank.busy_cycles{bank}] occupancy over [min tiles banks] banks
+      starting at a deterministic label-derived offset;
+    - [Sync_barrier]: [sync.barriers], [sync.cycles];
+    - [Dram_burst]: [dram.bursts]/[dram.bytes]/[dram.busy_cycles], the
+      [dram.burst_bytes] histogram and a round-robin
+      [dram.channel.bytes{ch}] interleave in burst order;
+    - [Ttu_transpose]: [ttu.bytes]/[ttu.cycles], [ttu.transpose_bytes];
+    - [Jit_span] [Exit]: [jit.lowerings]/[jit.commands], the
+      [jit.lower_cycles] histogram;
+    - [Memo]: [jit.memo_hits] / [jit.memo_misses];
+    - [Offload_decision]: [decision{target}];
+    - [Region_exec]: [regions{where}], [region.cycles{kernel,where}];
+    - [Fault]: [fault{site,action}], plus [fault.cycles{site}] when
+      [cycles > 0] (simulated cycles lost to the fault);
+    - [Counter]: [cycles.<cat>] is observed into the [cycles{cat}]
+      histogram, whose per-category sums reconcile with
+      [Report.breakdown] at 0.0 tolerance; any other name increments a
+      plain counter of that name.
 
-  val sync_barrier : t -> cycles:float -> unit
-  val dram_burst : t -> channels:int -> bytes:float -> cycles:float -> unit
-  val ttu : t -> bytes:float -> cycles:float -> unit
-  val jit_exit : t -> commands:int -> cycles:float -> unit
-  val memo : t -> hit:bool -> unit
-  val decision : t -> target:string -> unit
-  val region_exec : t -> kernel:string -> where:string -> cycles:float -> unit
-
-  val fault : t -> site:string -> action:string -> cycles:float -> unit
-  (** One fault event: [fault{site,action}] counter plus, when
-      [cycles > 0], a [fault.cycles{site}] counter attributing simulated
-      cycles lost to the fault (stall penalties, wasted attempts). *)
-
-  val cycles : t -> cat:string -> float -> unit
-  (** One breakdown charge: observed into the [cycles{cat}] histogram whose
-      per-category sums reconcile with [Report.breakdown] at 0.0
-      tolerance. *)
-
-  val counter : t -> name:string -> value:float -> unit
-  (** A raw trace counter event: [cycles.<cat>] routes to {!cycles}, any
-      other name increments a plain counter of that name. *)
-end
+    [Noc_packet] [Deliver], [Sram_cmd] [Issue], [Jit_span] [Enter] and
+    [Request_span] fold to nothing. *)

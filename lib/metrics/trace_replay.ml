@@ -8,10 +8,7 @@ type region_rec = {
 type req_rec = { mutable qw : float; mutable run : float; mutable wb : float }
 
 type t = {
-  mx : int;
-  my : int;
-  banks : int;
-  channels : int;
+  geometry : Metrics.geometry;
   m : Metrics.t;
   mutable n_events : int;
   mutable pending : (string * float ref) list; (* charges since last region *)
@@ -23,10 +20,7 @@ type t = {
 
 let create ?(mesh_x = 8) ?(mesh_y = 8) ?(banks = 64) ?(channels = 16) () =
   {
-    mx = mesh_x;
-    my = mesh_y;
-    banks;
-    channels;
+    geometry = { Metrics.mesh_x; mesh_y; banks; channels };
     m = Metrics.create ();
     n_events = 0;
     pending = [];
@@ -39,26 +33,96 @@ let create ?(mesh_x = 8) ?(mesh_y = 8) ?(banks = 64) ?(channels = 16) () =
 let metrics t = t.m
 let events t = t.n_events
 
-(* ----- event parsing ----- *)
+(* ----- event parsing: the inverse of [Trace.event_to_json] ----- *)
 
-let str j k = Option.bind (Json.member k j) Json.to_str
+exception Bad of string
+
+let bad ev fmt = Printf.ksprintf (fun s -> raise (Bad (ev ^ " event: " ^ s))) fmt
+
+let field ev j k =
+  match Json.member k j with Some v -> v | None -> bad ev "missing field %s" k
+
+let str ev j k =
+  match field ev j k with Json.Str s -> s | _ -> bad ev "field %s is not a string" k
 
 (* The trace's own float printer predates Json's total printing and renders
    non-finite floats as quoted strings; accept both spellings. *)
-let num j k =
-  match Json.member k j with
-  | Some (Json.Num f) -> f
-  | Some (Json.Str "inf") -> infinity
-  | Some (Json.Str "-inf") -> neg_infinity
-  | Some (Json.Str "nan") -> nan
-  | _ -> 0.0
+let num ev j k =
+  match field ev j k with
+  | Json.Num f -> f
+  | Json.Str "inf" -> infinity
+  | Json.Str "-inf" -> neg_infinity
+  | Json.Str "nan" -> nan
+  | _ -> bad ev "field %s is not a number" k
 
-let int_field j k = int_of_float (num j k)
+let int ev j k =
+  match field ev j k with
+  | Json.Num f when Float.is_integer f && Float.abs f < 0x1p62 -> int_of_float f
+  | _ -> bad ev "field %s is not an integer" k
 
-let bool_field j k =
-  match Option.bind (Json.member k j) Json.to_bool with
-  | Some b -> b
-  | None -> false
+let bool ev j k =
+  match field ev j k with Json.Bool b -> b | _ -> bad ev "field %s is not a boolean" k
+
+let enum ev j k names =
+  let s = str ev j k in
+  match List.assoc_opt s names with Some v -> v | None -> bad ev "unknown %s %S" k s
+
+let parse_event ev j : Trace.event option =
+  let str = str ev j and num = num ev j and int = int ev j in
+  let some (e : Trace.event) =
+    ignore (int "seq");
+    Some e
+  in
+  match ev with
+  | "noc" ->
+    let dir = enum ev j "dir" [ ("send", Trace.Send); ("deliver", Trace.Deliver) ] in
+    some
+      (Noc_packet
+         { dir; category = str "cat"; bytes = num "bytes"; hops = num "hops"; packets = num "packets" })
+  | "local" -> some (Local_move { channel = str "channel"; bytes = num "bytes" })
+  | "sram" ->
+    let phase = enum ev j "phase" [ ("issue", Trace.Issue); ("retire", Trace.Retire) ] in
+    some
+      (Sram_cmd
+         {
+           phase;
+           kind = str "kind";
+           label = str "label";
+           tiles = int "tiles";
+           lanes = int "lanes";
+           cycles = num "cycles";
+         })
+  | "dram" -> some (Dram_burst { bytes = num "bytes"; cycles = num "cycles" })
+  | "ttu" -> some (Ttu_transpose { bytes = num "bytes"; cycles = num "cycles" })
+  | "jit" ->
+    let dir = enum ev j "dir" [ ("enter", Trace.Enter); ("exit", Trace.Exit) ] in
+    some (Jit_span { dir; region = str "region"; commands = int "commands"; cycles = num "cycles" })
+  | "memo" -> some (Memo { key = str "key"; hit = bool ev j "hit" })
+  | "decision" ->
+    some
+      (Offload_decision
+         {
+           kernel = str "kernel";
+           target = str "target";
+           core_cycles = num "core_cycles";
+           imc_cycles = num "imc_cycles";
+           reason = str "reason";
+         })
+  | "sync" -> some (Sync_barrier { cycles = num "cycles" })
+  | "region" -> some (Region_exec { kernel = str "kernel"; where = str "where"; cycles = num "cycles" })
+  | "fault" ->
+    some
+      (Fault { site = str "site"; action = str "action"; detail = str "detail"; cycles = num "cycles" })
+  | "ctr" -> some (Counter { name = str "k"; value = num "v" })
+  | "req" -> some (Request_span { request = str "request"; stage = str "stage"; us = num "us" })
+  | _ -> None (* the summary line, or an unknown kind: skip (forward compatibility) *)
+
+let event_of_json j =
+  match Json.member "ev" j with
+  | Some (Json.Str ev) -> ( try Ok (parse_event ev j) with Bad e -> Error e)
+  | _ -> Error "trace line without a string ev field"
+
+(* ----- replay ----- *)
 
 let pending_add t cat v =
   match List.assoc_opt cat t.pending with
@@ -86,78 +150,14 @@ let fold_pending t ~kernel ~where ~cycles =
     t.pending;
   t.pending <- []
 
-let apply t j =
-  let ev = match str j "ev" with Some e -> e | None -> "" in
+let apply t (ev : Trace.event) =
+  t.n_events <- t.n_events + 1;
+  Metrics.apply t.m t.geometry ev;
   match ev with
-  | "summary" -> ()
-  | "noc" ->
-    t.n_events <- t.n_events + 1;
-    if str j "dir" = Some "send" then
-      Metrics.Sim.noc_packet t.m ~mx:t.mx ~my:t.my
-        ~cat:(Option.value ~default:"" (str j "cat"))
-        ~bytes:(num j "bytes") ~hops:(num j "hops") ~packets:(num j "packets")
-  | "local" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.local_move t.m
-      ~channel:(Option.value ~default:"" (str j "channel"))
-      ~bytes:(num j "bytes")
-  | "sram" ->
-    t.n_events <- t.n_events + 1;
-    if str j "phase" = Some "retire" then
-      Metrics.Sim.sram_cmd t.m ~banks:t.banks
-        ~kind:(Option.value ~default:"" (str j "kind"))
-        ~label:(Option.value ~default:"" (str j "label"))
-        ~tiles:(int_field j "tiles") ~cycles:(num j "cycles")
-  | "dram" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.dram_burst t.m ~channels:t.channels ~bytes:(num j "bytes")
-      ~cycles:(num j "cycles")
-  | "ttu" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.ttu t.m ~bytes:(num j "bytes") ~cycles:(num j "cycles")
-  | "jit" ->
-    t.n_events <- t.n_events + 1;
-    if str j "dir" = Some "exit" then
-      Metrics.Sim.jit_exit t.m ~commands:(int_field j "commands")
-        ~cycles:(num j "cycles")
-  | "memo" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.memo t.m ~hit:(bool_field j "hit")
-  | "decision" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.decision t.m ~target:(Option.value ~default:"" (str j "target"))
-  | "sync" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.sync_barrier t.m ~cycles:(num j "cycles")
-  | "region" ->
-    t.n_events <- t.n_events + 1;
-    let kernel = Option.value ~default:"" (str j "kernel") in
-    let where = Option.value ~default:"" (str j "where") in
-    let cycles = num j "cycles" in
-    Metrics.Sim.region_exec t.m ~kernel ~where ~cycles;
-    fold_pending t ~kernel ~where ~cycles
-  | "fault" ->
-    t.n_events <- t.n_events + 1;
-    Metrics.Sim.fault t.m
-      ~site:(Option.value ~default:"" (str j "site"))
-      ~action:(Option.value ~default:"" (str j "action"))
-      ~cycles:(num j "cycles")
-  | "ctr" ->
-    t.n_events <- t.n_events + 1;
-    let name = Option.value ~default:"" (str j "k") in
-    let value = num j "v" in
-    Metrics.Sim.counter t.m ~name ~value;
-    if String.length name > 7 && String.sub name 0 7 = "cycles." then
-      pending_add t (String.sub name 7 (String.length name - 7)) value
-  | "req" ->
-    t.n_events <- t.n_events + 1;
-    let request = Option.value ~default:"" (str j "request") in
-    let stage = Option.value ~default:"" (str j "stage") in
-    let us = num j "us" in
-    (* mirror [Trace.record_metrics] so a replayed serving trace lands on
-       the same derived counters as the live sink *)
-    Metrics.Sim.counter t.m ~name:("serve.spans." ^ stage) ~value:1.0;
-    Metrics.Sim.counter t.m ~name:("serve.span_us." ^ stage) ~value:us;
+  | Region_exec { kernel; where; cycles } -> fold_pending t ~kernel ~where ~cycles
+  | Counter { name; value } when String.length name > 7 && String.starts_with ~prefix:"cycles." name ->
+    pending_add t (String.sub name 7 (String.length name - 7)) value
+  | Request_span { request; stage; us } -> (
     let r =
       match Hashtbl.find_opt t.requests request with
       | Some r -> r
@@ -167,22 +167,21 @@ let apply t j =
         t.request_order <- request :: t.request_order;
         r
     in
-    (match stage with
+    match stage with
     | "queue_wait" -> r.qw <- r.qw +. us
     | "run" -> r.run <- r.run +. us
     | "write_back" -> r.wb <- r.wb +. us
     | _ -> ())
-  | _ -> () (* unknown event kind: skip (forward compatibility) *)
+  | _ -> ()
 
 let feed_line t line =
   let line = String.trim line in
   if line = "" then Ok ()
   else
-    match Json.parse line with
+    match Result.bind (Json.parse line) event_of_json with
     | Error e -> Error e
-    | Ok j ->
-      apply t j;
-      Ok ()
+    | Ok None -> Ok ()
+    | Ok (Some ev) -> Ok (apply t ev)
 
 let feed_channel t ic =
   let lineno = ref 0 in
@@ -282,12 +281,13 @@ let report ?(top = 8) t =
     (rank links);
   if links <> [] then begin
     (* router egress load: sum of byte-hops over links leaving each router *)
-    let egress = Array.make_matrix t.my t.mx 0.0 in
+    let { Metrics.mesh_x = mx; mesh_y = my; _ } = t.geometry in
+    let egress = Array.make_matrix my mx 0.0 in
     List.iter
       (fun (l, v) ->
         try
           Scanf.sscanf l "%d,%d>%d,%d" (fun sx sy _ _ ->
-              if sx >= 0 && sx < t.mx && sy >= 0 && sy < t.my then
+              if sx >= 0 && sx < mx && sy >= 0 && sy < my then
                 egress.(sy).(sx) <- egress.(sy).(sx) +. v)
         with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
       links;
@@ -295,9 +295,9 @@ let report ?(top = 8) t =
     let shades = " .:-=+*#%@" in
     Printf.bprintf b "\nmesh heatmap (router egress, peak=%s byte-hops)\n"
       (fmt peak);
-    for y = 0 to t.my - 1 do
+    for y = 0 to my - 1 do
       Buffer.add_string b "  ";
-      for x = 0 to t.mx - 1 do
+      for x = 0 to mx - 1 do
         let v = egress.(y).(x) in
         let level =
           if peak <= 0.0 then 0

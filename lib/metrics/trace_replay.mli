@@ -1,10 +1,12 @@
 (** Offline replay of a JSONL trace (the [infs_trace] format) into a
     {!Metrics} registry, plus a deterministic bottleneck report.
 
-    Replay applies the same event-shaped {!Metrics.Sim} functions the live
-    simulator calls, in event order, so the resulting registry is
-    bit-identical to the one a live run with metrics enabled would have
-    produced (for every metric derivable from the event stream).
+    Replay parses each line back into a {!Trace.event} ({!event_of_json})
+    and folds it with {!Metrics.apply}, the function the live handle
+    ({!Obs.emit}) calls, in event order — so the registry is bit-identical
+    to the one a live run with metrics enabled produced, minus the
+    live-only series that have no event (near-memory stall causes, serve
+    queue depth and latency, pool utilization).
 
     Additionally attributes per-category cycle charges to the enclosing
     program region: [ctr cycles.<cat>] events accumulate into a pending
@@ -30,10 +32,18 @@ val metrics : t -> Metrics.t
 val events : t -> int
 (** Events applied so far (trace summary lines excluded). *)
 
+val event_of_json : Json.t -> (Trace.event option, string) result
+(** The inverse of {!Trace.event_to_json}: [Ok (Some ev)] for an event
+    line, [Ok None] for the [summary] line and for unknown [ev] kinds
+    (forward compatibility). Strict: a missing field the serializer
+    writes, a field of the wrong JSON type (quoted ["inf"]/["-inf"]/
+    ["nan"] are numbers) or an unknown [dir]/[phase] is an [Error] naming
+    the event and the field. *)
+
 val feed_line : t -> string -> (unit, string) result
-(** Replay one JSONL line. Blank lines and the trailing summary line are
-    ignored; unknown event kinds are skipped (forward compatibility);
-    malformed JSON is an error. *)
+(** Replay one JSONL line. Blank lines, the trailing summary line and
+    unknown event kinds are ignored; malformed JSON and any
+    {!event_of_json} error are errors. *)
 
 val feed_channel : t -> in_channel -> (int, string) result
 (** Replay a whole channel; [Ok n] is the number of events applied, errors

@@ -40,9 +40,9 @@ let resolve policy ~kernel =
    trace shows fault fallbacks next to ordinary offload verdicts. The
    faulted target's latency is recorded as infinite — that is what the
    fault made it. *)
-let fault_fallback ?(trace = Trace.null) ?(kernel = "") ~site ~target () =
-  if Trace.enabled trace then
-    Trace.emit trace
+let fault_fallback ?(obs = Obs.null) ?(kernel = "") ~site ~target () =
+  if Obs.on obs then
+    Obs.emit obs
       (Trace.Offload_decision
          {
            kernel;
@@ -52,11 +52,11 @@ let fault_fallback ?(trace = Trace.null) ?(kernel = "") ~site ~target () =
            reason = Printf.sprintf "fault fallback: %s fault exhausted retries" site;
          })
 
-let decide ?(trace = Trace.null) ?(kernel = "") ?(override = Auto) cfg ~ops
+let decide ?(obs = Obs.null) ?(kernel = "") ?(override = Auto) cfg ~ops
     ~node_count ~dtype ~elems ~flops ~data_bytes ~fits ~jit_known =
   let traced v =
-    if Trace.enabled trace then
-      Trace.emit trace
+    if Obs.on obs then
+      Obs.emit obs
         (Trace.Offload_decision
            {
              kernel;

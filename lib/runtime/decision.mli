@@ -45,15 +45,16 @@ val resolve : policy -> kernel:string -> override
 (** The override a policy assigns to [kernel]. *)
 
 val fault_fallback :
-  ?trace:Trace.t -> ?kernel:string -> site:string -> target:string -> unit -> unit
-(** Emit an [Offload_decision] trace event recording that the runtime
-    re-lowered [kernel] to [target] because faults at [site] exhausted the
-    retry budget — fault mitigation rides the same §4.3 machinery as
-    ordinary offload verdicts, so it is visible in the same trace stream.
-    The faulted target's latency is recorded as infinite. *)
+  ?obs:Obs.t -> ?kernel:string -> site:string -> target:string -> unit -> unit
+(** Emit an [Offload_decision] event through [obs] (default {!Obs.null})
+    recording that the runtime re-lowered [kernel] to [target] because
+    faults at [site] exhausted the retry budget — fault mitigation rides
+    the same §4.3 machinery as ordinary offload verdicts, so it is visible
+    in the same event stream and counted in the same [decision{target}]
+    series. The faulted target's latency is recorded as infinite. *)
 
 val decide :
-  ?trace:Trace.t ->
+  ?obs:Obs.t ->
   ?kernel:string ->
   ?override:override ->
   Machine_config.t ->
@@ -81,4 +82,7 @@ val decide :
     [override] (default [Auto]) pins the target regardless of the Eq. 2
     comparison; the verdict's [core_cycles]/[imc_cycles] still report the
     computed latencies and the reason records what Eq. 2 would have
-    picked. *)
+    picked.
+
+    Every verdict is emitted as an [Offload_decision] event through [obs]
+    (default {!Obs.null}). *)

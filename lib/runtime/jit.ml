@@ -377,19 +377,18 @@ let lower_cached ?doms ~key cfg g ~schedule ~layout ~env =
       ({ ge_g = g; ge_cfg = cfg; ge_cmds = cmds; ge_stats = st } :: entries);
     (cmds, st)
 
-let lower_memo ?(trace = Trace.null) ?doms memo ~key cfg g ~schedule ~layout ~env =
+let lower_memo ?(obs = Obs.null) ?doms memo ~key cfg g ~schedule ~layout ~env =
   match Hashtbl.find_opt memo.table key with
   | Some (cmds, st) ->
     memo.hits <- memo.hits + 1;
-    if Trace.enabled trace then Trace.emit trace (Trace.Memo { key; hit = true });
+    if Obs.on obs then Obs.emit obs (Trace.Memo { key; hit = true });
     (cmds, { st with jit_cycles = memo_lookup_cycles; memoized = true })
   | None ->
     memo.misses <- memo.misses + 1;
     let region = region_of_key key in
-    if Trace.enabled trace then begin
-      Trace.emit trace (Trace.Memo { key; hit = false });
-      Trace.emit trace
-        (Trace.Jit_span { dir = Trace.Enter; region; commands = 0; cycles = 0.0 })
+    if Obs.on obs then begin
+      Obs.emit obs (Trace.Memo { key; hit = false });
+      Obs.emit obs (Trace.Jit_span { dir = Trace.Enter; region; commands = 0; cycles = 0.0 })
     end;
     let cmds, st = lower_cached ?doms ~key cfg g ~schedule ~layout ~env in
     let st =
@@ -405,8 +404,8 @@ let lower_memo ?(trace = Trace.null) ?doms memo ~key cfg g ~schedule ~layout ~en
         st
       end
     in
-    if Trace.enabled trace then
-      Trace.emit trace
+    if Obs.on obs then
+      Obs.emit obs
         (Trace.Jit_span
            {
              dir = Trace.Exit;

@@ -46,7 +46,7 @@ type memo
 val memo_create : unit -> memo
 
 val lower_memo :
-  ?trace:Trace.t ->
+  ?obs:Obs.t ->
   ?doms:Hyperrect.t option array ->
   memo ->
   key:string ->
@@ -58,9 +58,10 @@ val lower_memo :
   Command.t array * stats
 (** Like {!lower} but reuses the command array when the same [key] (region
     name + resolved parameters + layout) was lowered before; memoized hits
-    charge only a small lookup cost and set [memoized]. When [trace] is
-    enabled, emits a [Memo] event per lookup and an [Enter]/[Exit]
-    [Jit_span] pair around each actual lowering. *)
+    charge only a small lookup cost and set [memoized]. Emits a [Memo]
+    event per lookup and an [Enter]/[Exit] [Jit_span] pair around each
+    actual lowering through [obs] (default {!Obs.null}), which folds them
+    into the memo and lowering series. *)
 
 val memo_hits : memo -> int
 val memo_misses : memo -> int

@@ -75,8 +75,8 @@ type t = {
   cfg : config;
   pfx : string;  (* counter and span namespace, from the handler *)
   stop_requested : bool Atomic.t;
-  mm : Mutex.t;  (* guards metrics, trace, prof, inflight, tenants, draining, conns *)
-  metrics : Metrics.t;
+  mm : Mutex.t;  (* guards obs (registry, trace, prof), inflight, tenants, draining, conns *)
+  obs : Obs.t;  (* the run's handle: always-on registry, cfg.trace, cfg.prof *)
   tenants : (string, int) Hashtbl.t;  (* admitted-but-unanswered per tenant *)
   mutable inflight : int;  (* admitted, reply not yet accounted *)
   mutable draining : bool;
@@ -97,13 +97,13 @@ let now () = Clock.now ()
 
 let name t s = t.pfx ^ "." ^ s
 
-(* a counter and its same-named trace Counter event; caller holds [mm] *)
-let count_locked t name =
-  Metrics.incr t.metrics name 1.0;
-  if Trace.enabled t.cfg.trace then Trace.emit t.cfg.trace (Trace.Counter { name; value = 1.0 })
+(* one Counter event: the handle folds it into the registry and writes it
+   to the trace; caller holds [mm] *)
+let count_locked t name = Obs.emit t.obs (Trace.Counter { name; value = 1.0 })
 
+let metrics t = Obs.metrics t.obs
 let count t name = Mutex.protect t.mm (fun () -> count_locked t name)
-let counter t name = Mutex.protect t.mm (fun () -> int_of_float (Metrics.value t.metrics name))
+let counter t name = Mutex.protect t.mm (fun () -> int_of_float (Metrics.value (metrics t) name))
 
 let prof_row t path ns =
   if Prof.enabled t.cfg.prof then
@@ -143,7 +143,7 @@ let local ~jobs fn =
        this is the only domain touching the registries *)
     let stop () =
       Pool.shutdown pool;
-      Mutex.protect t.mm (fun () -> Pool.metrics_into pool t.metrics);
+      Mutex.protect t.mm (fun () -> Pool.metrics_into pool (metrics t));
       Pool.profile_into pool t.cfg.prof
     in
     Ok { submit; stop }
@@ -181,14 +181,15 @@ let pop conn =
   Mutex.unlock conn.c_qm;
   v
 
-(* One lifecycle-stage span: a [Request_span] trace event and a
-   [<prefix>;request;<stage>] profiler row, under [mm] (the prof registry,
-   like the trace sink, is unsynchronized). *)
+(* One lifecycle-stage span: a [Request_span] trace event (host time, so
+   never folded into the registry) and a [<prefix>;request;<stage>]
+   profiler row, under [mm] (the prof registry, like the trace sink, is
+   unsynchronized). *)
 let request_span t id stage us =
   if Trace.enabled t.cfg.trace || Prof.enabled t.cfg.prof then
     Mutex.protect t.mm (fun () ->
         if Trace.enabled t.cfg.trace then
-          Trace.emit t.cfg.trace (Trace.Request_span { request = Json.to_string id; stage; us });
+          Obs.emit t.obs (Trace.Request_span { request = Json.to_string id; stage; us });
         if Prof.enabled t.cfg.prof then
           Prof.record_path t.cfg.prof (t.pfx ^ ";request;" ^ stage) ~ns:(us *. 1e3) ())
 
@@ -204,8 +205,9 @@ let account t e r =
   Mutex.protect t.mm (fun () ->
       if e.e_admitted then begin
         count_locked t (name t r.outcome);
-        Metrics.gauge_add t.metrics (name t "queue_depth") (-1.0);
-        Metrics.observe t.metrics (name t "latency_us") lat_us;
+        (* live-only: queue depth and host latency have no event *)
+        Metrics.gauge_add (metrics t) (name t "queue_depth") (-1.0);
+        Metrics.observe (metrics t) (name t "latency_us") lat_us;
         t.inflight <- t.inflight - 1;
         Option.iter
           (fun tn ->
@@ -286,7 +288,7 @@ let admit t ~tenant ~low =
         t.inflight <- t.inflight + 1;
         Option.iter (fun tn -> Hashtbl.replace t.tenants tn (held tn + 1)) tenant;
         count_locked t (name t "admitted");
-        Metrics.gauge_add t.metrics (name t "queue_depth") 1.0;
+        Metrics.gauge_add (metrics t) (name t "queue_depth") 1.0;
         true)
 
 let request_timeout t j =
@@ -384,7 +386,7 @@ let drain t ops lfds =
   ops.stop ();
   Option.iter
     (fun path ->
-      Mutex.protect t.mm (fun () -> try Metrics.write_file t.metrics path with Sys_error _ -> ()))
+      Mutex.protect t.mm (fun () -> try Metrics.write_file (metrics t) path with Sys_error _ -> ()))
     t.cfg.metrics_path;
   Option.iter
     (fun path -> try Prof.write_file t.cfg.prof path with Sys_error _ -> ())
@@ -461,7 +463,9 @@ let start cfg (h : handler) =
         pfx = h.prefix;
         stop_requested = Atomic.make false;
         mm = Mutex.create ();
-        metrics = Metrics.create ();
+        obs =
+          Obs.create ~trace:cfg.trace ~metrics:(Metrics.create ()) ~prof:cfg.prof
+            ~geometry:Metrics.default_geometry;
         tenants = Hashtbl.create 16;
         inflight = 0;
         draining = false;
@@ -484,7 +488,7 @@ let request_stop t = Atomic.set t.stop_requested true
 
 let stats t =
   Mutex.protect t.mm (fun () ->
-      let v s = int_of_float (Metrics.value t.metrics (name t s)) in
+      let v s = int_of_float (Metrics.value (metrics t) (name t s)) in
       {
         connections = v "connections";
         received = v "received";
@@ -505,5 +509,3 @@ let stats t =
 let wait t =
   Option.iter Thread.join t.accept_thread;
   stats t
-
-let metrics t = t.metrics

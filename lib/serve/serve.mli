@@ -56,9 +56,12 @@
     the [p.latency_us] histogram, and bumps [p.<outcome>] for every
     answered admitted request ([serve.ok], [serve.failed],
     [serve.deadline_exceeded], [serve.degraded], [serve.cancelled];
-    [shard.answered]). Every counter is also emitted as a same-named
-    {!Trace} [Counter] event, so a JSONL trace replays into the same
-    counters. *)
+    [shard.answered]). The server builds one {!Obs.t} handle from an
+    always-on registry, [config.trace] and [config.prof]; every counter
+    is one [Counter] event through it, folded into the registry and
+    written to the trace, so a JSONL trace replays into the same
+    registry minus the live-only [p.queue_depth], [p.latency_us] and
+    [pool.*] series, which have no event. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket path to bind *)
@@ -83,7 +86,8 @@ type config = {
           (handler execution) and [write_back] (response write + flush) —
           carrying the request's echoed id. Timed-out, cancelled and
           crashed requests emit none, keeping the three stages' counts
-          equal. *)
+          equal. Request spans are host time and are not folded into
+          the registry. *)
   prof : Prof.t;
       (** span profiler (default {!Prof.null}): the same three stages as
           [serve;request;<stage>] rows plus, at drain, the {!local} pool's
@@ -178,8 +182,8 @@ val metrics : t -> Metrics.t
 (** {2 For handlers} *)
 
 val count : t -> string -> unit
-(** Bump a counter and emit its trace [Counter] event, under the server
-    lock. *)
+(** Emit one [Counter] event through the server's handle (bumping the
+    registry counter and writing the trace), under the server lock. *)
 
 val counter : t -> string -> int
 (** A counter's current value, read under the server lock. *)

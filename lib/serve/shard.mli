@@ -48,7 +48,8 @@
     bump [shard.answered]), the front counts [shard.route_hot],
     [shard.route_cold], [shard.route_moved], [shard.redispatched],
     [shard.lost], [shard.crashes], [shard.respawns], [shard.hb_sent] and
-    [shard.hb_pong] — each also a same-named {!Trace} [Counter] event —
+    [shard.hb_pong] — each one [Counter] event through the server's
+    handle ({!Serve.count}) —
     and records a [shard;request;proxy] {!Prof} row per answered
     request. *)
 

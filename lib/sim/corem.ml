@@ -41,5 +41,5 @@ let run_sim cfg traffic (w : Workset.t) ~threads ~cold_bytes ~first_invocation =
   { cycles = busy +. omp +. dram; dram_cycles = dram }
 
 let run cfg traffic (w : Workset.t) ~threads ~cold_bytes ~first_invocation =
-  Prof.span (Traffic.prof_of traffic) "corem.run" (fun () ->
+  Prof.span (Obs.prof (Traffic.obs_of traffic)) "corem.run" (fun () ->
       run_sim cfg traffic w ~threads ~cold_bytes ~first_invocation)

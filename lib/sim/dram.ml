@@ -12,53 +12,41 @@ let transpose_cycles cfg ~bytes =
 
 (* A seeded channel-stall fault adds a fixed penalty to one burst; the
    penalty is emitted as a fault event so analyze can attribute it. *)
-let stall_penalty ?faults trace metrics ~bytes =
+let stall_penalty ?faults obs ~bytes =
   match faults with
   | None -> 0.0
   | Some fi ->
     if bytes <= 0.0 then 0.0
     else begin
       let stall = Fault.dram_stall_cycles fi in
-      if stall > 0.0 then begin
-        if Trace.enabled trace then
-          Trace.emit trace
-            (Trace.Fault
-               { site = "dram"; action = "inject"; detail = "channel-stall";
-                 cycles = stall });
-        if Metrics.enabled metrics then
-          Metrics.Sim.fault metrics ~site:"dram" ~action:"inject" ~cycles:stall
-      end;
+      if stall > 0.0 && Obs.on obs then
+        Obs.emit obs
+          (Trace.Fault
+             { site = "dram"; action = "inject"; detail = "channel-stall"; cycles = stall });
       stall
     end
 
-let load_traced ?(metrics = Metrics.null) ?(prof = Prof.null) ?faults trace
-    cfg ~bytes =
+(* One burst: its event, its stall draw, and a span leaf recorded under
+   the same [bytes > 0] guard as the event, so the span count reconciles
+   with the trace's event count. *)
+let traced ~span ~event ?faults obs cycles_of cfg ~bytes =
+  let prof = Obs.prof obs in
   let t0 = if Prof.enabled prof then Prof.now_ns () else 0.0 in
-  let cycles = load_cycles cfg ~bytes in
-  if bytes > 0.0 && Trace.enabled trace then
-    Trace.emit trace (Trace.Dram_burst { bytes; cycles });
-  if bytes > 0.0 && Metrics.enabled metrics then
-    Metrics.Sim.dram_burst metrics ~channels:cfg.Machine_config.mem_ctrls ~bytes
-      ~cycles;
-  let r = cycles +. stall_penalty ?faults trace metrics ~bytes in
-  (* recorded under the same [bytes > 0] guard as the [Dram_burst] event,
-     so the span count reconciles with the trace's burst count *)
-  if bytes > 0.0 && Prof.enabled prof then
-    Prof.record prof "dram.load" ~ns:(Prof.now_ns () -. t0);
+  let cycles = cycles_of cfg ~bytes in
+  if bytes > 0.0 && Obs.on obs then Obs.emit obs (event bytes cycles);
+  let r = cycles +. stall_penalty ?faults obs ~bytes in
+  if bytes > 0.0 && Prof.enabled prof then Prof.record prof span ~ns:(Prof.now_ns () -. t0);
   r
 
-let transpose_traced ?(metrics = Metrics.null) ?(prof = Prof.null) ?faults
-    trace cfg ~bytes =
-  let t0 = if Prof.enabled prof then Prof.now_ns () else 0.0 in
-  let cycles = transpose_cycles cfg ~bytes in
-  if bytes > 0.0 && Trace.enabled trace then
-    Trace.emit trace (Trace.Ttu_transpose { bytes; cycles });
-  if bytes > 0.0 && Metrics.enabled metrics then
-    Metrics.Sim.ttu metrics ~bytes ~cycles;
-  let r = cycles +. stall_penalty ?faults trace metrics ~bytes in
-  if bytes > 0.0 && Prof.enabled prof then
-    Prof.record prof "dram.transpose" ~ns:(Prof.now_ns () -. t0);
-  r
+let load_traced ?faults obs cfg ~bytes =
+  traced ~span:"dram.load"
+    ~event:(fun bytes cycles -> Trace.Dram_burst { bytes; cycles })
+    ?faults obs load_cycles cfg ~bytes
+
+let transpose_traced ?faults obs cfg ~bytes =
+  traced ~span:"dram.transpose"
+    ~event:(fun bytes cycles -> Trace.Ttu_transpose { bytes; cycles })
+    ?faults obs transpose_cycles cfg ~bytes
 
 let fill_transposed_cycles cfg ~bytes ~resident =
   let fetch = if resident then 0.0 else load_cycles cfg ~bytes in

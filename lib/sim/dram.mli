@@ -9,32 +9,18 @@ val transpose_cycles : Machine_config.t -> bytes:float -> float
     fill (callers take [max] with the DRAM time, paper §5.2). *)
 
 val load_traced :
-  ?metrics:Metrics.t ->
-  ?prof:Prof.t ->
-  ?faults:Fault.injector ->
-  Trace.t ->
-  Machine_config.t ->
-  bytes:float ->
-  float
-(** {!load_cycles}, additionally emitting a [Dram_burst] trace event when
-    [bytes > 0] and the context is enabled, and recording burst/channel
-    metrics on [metrics] (default disabled). [prof] records a
-    ["dram.load"] span leaf under the same [bytes > 0] guard as the trace
-    event, so span counts reconcile with burst counts. With [faults],
-    each burst draws a channel-stall fault adding [dram_stall_cycles]
-    (emitted as a [fault] event). *)
+  ?faults:Fault.injector -> Obs.t -> Machine_config.t -> bytes:float -> float
+(** {!load_cycles}, additionally emitting a [Dram_burst] event through the
+    handle when [bytes > 0] (folded into burst/channel metrics) and
+    recording a ["dram.load"] span leaf under the same guard, so span
+    counts reconcile with burst counts. With [faults], each burst draws a
+    channel-stall fault adding [dram_stall_cycles] (emitted as a [fault]
+    event). *)
 
 val transpose_traced :
-  ?metrics:Metrics.t ->
-  ?prof:Prof.t ->
-  ?faults:Fault.injector ->
-  Trace.t ->
-  Machine_config.t ->
-  bytes:float ->
-  float
-(** {!transpose_cycles} with a [Ttu_transpose] trace event, TTU metrics
-    and a ["dram.transpose"] span leaf; stall faults as in
-    {!load_traced}. *)
+  ?faults:Fault.injector -> Obs.t -> Machine_config.t -> bytes:float -> float
+(** {!transpose_cycles} with a [Ttu_transpose] event and a
+    ["dram.transpose"] span leaf; stall faults as in {!load_traced}. *)
 
 val fill_transposed_cycles : Machine_config.t -> bytes:float -> resident:bool -> float
 (** Cycles to prepare [bytes] of data in transposed layout: a DRAM fetch

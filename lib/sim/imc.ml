@@ -138,12 +138,10 @@ type acc = {
 }
 
 let execute_sim cfg traffic ~layout (cmds : Command.t array) =
-  let trace = Traffic.trace_of traffic in
-  let metrics = Traffic.metrics_of traffic in
-  (* instrumentation guards hoisted out of the command loop: one bool each,
+  let obs = Traffic.obs_of traffic in
+  (* the instrumentation guard hoisted out of the command loop: one bool,
      read once per region *)
-  let trace_on = Trace.enabled trace in
-  let metrics_on = Metrics.enabled metrics in
+  let on = Obs.on obs in
   let cache = cfg_cache cfg in
   let a =
     {
@@ -179,8 +177,8 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
         a.move
         +. Traffic.bulk_cycles_in traffic ~detail:"imc-barrier"
              ~bytes:a.pending_noc_bytes ~avg_hops;
-      if trace_on then
-        Trace.emit trace
+      if on then
+        Obs.emit obs
           (Trace.Noc_packet
              {
                dir = Trace.Deliver;
@@ -222,8 +220,8 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
         full_occupancy *. cfg.Machine_config.imc_cycle_multiplier *. waves
       end
     in
-    if trace_on then
-      Trace.emit trace
+    if on then
+      Obs.emit obs
         (Trace.Sram_cmd
            {
              phase = Trace.Issue;
@@ -239,11 +237,7 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
       flush_pending ();
       (* barrier: two rounds of control messages across the mesh *)
       a.sync <- a.sync +. (2.0 *. diameter) +. dispatch;
-      if trace_on then
-        Trace.emit trace
-          (Trace.Sync_barrier { cycles = (2.0 *. diameter) +. dispatch });
-      if metrics_on then
-        Metrics.Sim.sync_barrier metrics ~cycles:((2.0 *. diameter) +. dispatch);
+      if on then Obs.emit obs (Trace.Sync_barrier { cycles = (2.0 *. diameter) +. dispatch });
       let banks = float_of_int cfg.Machine_config.l3_banks in
       Traffic.add traffic Traffic.Offload
         ~bytes:(banks *. 16.0)
@@ -306,8 +300,8 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
         /. float_of_int cfg.htree_bytes_per_cycle
       in
       a.move <- a.move +. Float.max eject htree);
-    if trace_on then
-      Trace.emit trace
+    if on then
+      Obs.emit obs
         (Trace.Sram_cmd
            {
              phase = Trace.Retire;
@@ -316,11 +310,7 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
              tiles = tiles_i;
              lanes = c.lanes_per_tile;
              cycles = a.move -. move0 +. (a.comp -. comp0) +. (a.sync -. sync0);
-           });
-    if metrics_on then
-      Metrics.Sim.sram_cmd metrics ~banks:cfg.Machine_config.l3_banks
-        ~kind:(kind_name c.kind) ~label:c.Command.label ~tiles:tiles_i
-        ~cycles:(a.move -. move0 +. (a.comp -. comp0) +. (a.sync -. sync0))
+           })
   in
   (* One flip draw per command, scaled by its bit-serial exposure. A flip
      corrupts the command's result: the tensor controllers detect it (the
@@ -337,17 +327,15 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
     (match faults with
     | Some fi when Fault.sram_flip fi ~exposure:ac ->
       faulted := true;
-      if trace_on then
-        Trace.emit trace
+      if on then
+        Obs.emit obs
           (Trace.Fault
              {
                site = "sram";
                action = "inject";
                detail = kind_name c.kind ^ ":" ^ c.Command.label;
                cycles = 0.0;
-             });
-      if metrics_on then
-        Metrics.Sim.fault metrics ~site:"sram" ~action:"inject" ~cycles:0.0
+             })
     | _ -> ());
     incr i
   done;
@@ -367,5 +355,5 @@ let execute_sim cfg traffic ~layout (cmds : Command.t array) =
    hot path the profiler exists to measure, so instrumenting inside it
    would distort exactly what we are trying to observe. *)
 let execute cfg traffic ~layout cmds =
-  Prof.span (Traffic.prof_of traffic) "imc.execute" (fun () ->
+  Prof.span (Obs.prof (Traffic.obs_of traffic)) "imc.execute" (fun () ->
       execute_sim cfg traffic ~layout cmds)

@@ -69,12 +69,10 @@ let run_sim cfg traffic (w : Workset.t) ~cold_bytes =
   Traffic.add traffic Traffic.Offload
     ~bytes:((flow_msgs *. 8.0) +. (float_of_int (Array.length w.streams) *. 64.0))
     ~hops:avg_hops;
-  let metrics = Traffic.metrics_of traffic in
+  let obs = Traffic.obs_of traffic in
+  let metrics = Obs.metrics obs in
   let faults = Traffic.faults_of traffic in
-  let dram =
-    Dram.load_traced ~metrics ~prof:(Traffic.prof_of traffic) ?faults
-      (Traffic.trace_of traffic) cfg ~bytes:cold_bytes
-  in
+  let dram = Dram.load_traced ?faults obs cfg ~bytes:cold_bytes in
   let busy = Float.max compute (Float.max local_mem reuse_noc) in
   (* Stall breakdown: which resource bounds the stream engines. These are
      live-only gauges (no corresponding trace event — the event stream is
@@ -107,21 +105,14 @@ let run_sim cfg traffic (w : Workset.t) ~cold_bytes =
     | None -> false
     | Some fi ->
       let hung = Fault.watchdog_timeout fi in
-      if hung then begin
-        let trace = Traffic.trace_of traffic in
-        if Trace.enabled trace then
-          Trace.emit trace
-            (Trace.Fault
-               { site = "watchdog"; action = "inject"; detail = "near-stream";
-                 cycles = 0.0 });
-        if Metrics.enabled metrics then
-          Metrics.Sim.fault metrics ~site:"watchdog" ~action:"inject"
-            ~cycles:0.0
-      end;
+      if hung && Obs.on obs then
+        Obs.emit obs
+          (Trace.Fault
+             { site = "watchdog"; action = "inject"; detail = "near-stream"; cycles = 0.0 });
       hung
   in
   { cycles = busy +. setup +. dram; dram_cycles = dram; watchdog }
 
 let run cfg traffic (w : Workset.t) ~cold_bytes =
-  Prof.span (Traffic.prof_of traffic) "near.run" (fun () ->
+  Prof.span (Obs.prof (Traffic.obs_of traffic)) "near.run" (fun () ->
       run_sim cfg traffic w ~cold_bytes)

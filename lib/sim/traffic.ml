@@ -10,9 +10,7 @@ type bucket = { mutable bytes : float; mutable byte_hops : float; mutable packet
 
 type t = {
   cfg : Machine_config.t;
-  trace : Trace.t;
-  metrics : Metrics.t;
-  prof : Prof.t;
+  obs : Obs.t;
   faults : Fault.injector option;
   control : bucket;
   data : bucket;
@@ -24,13 +22,10 @@ type t = {
 
 let fresh_bucket () = { bytes = 0.0; byte_hops = 0.0; packets = 0.0 }
 
-let create ?(trace = Trace.null) ?(metrics = Metrics.null)
-    ?(prof = Prof.null) ?faults cfg =
+let create ?(obs = Obs.null) ?faults cfg =
   {
     cfg;
-    trace;
-    metrics;
-    prof;
+    obs;
     faults;
     control = fresh_bucket ();
     data = fresh_bucket ();
@@ -40,9 +35,7 @@ let create ?(trace = Trace.null) ?(metrics = Metrics.null)
     htree_bytes = 0.0;
   }
 
-let trace_of t = t.trace
-let metrics_of t = t.metrics
-let prof_of t = t.prof
+let obs_of t = t.obs
 let faults_of t = t.faults
 
 let reset t =
@@ -67,29 +60,22 @@ let add t cat ~bytes ~hops =
   b.bytes <- b.bytes +. bytes;
   b.byte_hops <- b.byte_hops +. (bytes *. hops);
   b.packets <- b.packets +. packets;
-  if Trace.enabled t.trace then
-    Trace.emit t.trace
+  if Obs.on t.obs then
+    Obs.emit t.obs
       (Trace.Noc_packet
-         { dir = Trace.Send; category = category_name cat; bytes; hops; packets });
-  if Metrics.enabled t.metrics then
-    Metrics.Sim.noc_packet t.metrics ~mx:t.cfg.Machine_config.mesh_x
-      ~my:t.cfg.mesh_y ~cat:(category_name cat) ~bytes ~hops ~packets
+         { dir = Trace.Send; category = category_name cat; bytes; hops; packets })
 
 let add_local t which ~bytes =
   (match which with
   | `Intra_tile -> t.intra_tile_bytes <- t.intra_tile_bytes +. bytes
   | `Htree -> t.htree_bytes <- t.htree_bytes +. bytes);
-  if Trace.enabled t.trace then
-    Trace.emit t.trace
+  if Obs.on t.obs then
+    Obs.emit t.obs
       (Trace.Local_move
          {
            channel = (match which with `Intra_tile -> "intra-tile" | `Htree -> "htree");
            bytes;
-         });
-  if Metrics.enabled t.metrics then
-    Metrics.Sim.local_move t.metrics
-      ~channel:(match which with `Intra_tile -> "intra-tile" | `Htree -> "htree")
-      ~bytes
+         })
 
 let bytes t cat = (bucket t cat).bytes
 let byte_hops t cat = (bucket t cat).byte_hops
@@ -141,7 +127,8 @@ let bulk_cycles cfg ~bytes ~avg_hops =
    event so analyze can attribute it. The [detail] string names the call
    site (deterministic, scheduling-independent). *)
 let bulk_cycles_in t ~detail ~bytes ~avg_hops =
-  let t0 = if Prof.enabled t.prof then Prof.now_ns () else 0.0 in
+  let prof = Obs.prof t.obs in
+  let t0 = if Prof.enabled prof then Prof.now_ns () else 0.0 in
   let base = bulk_cycles t.cfg ~bytes ~avg_hops in
   let cycles =
     match t.faults with
@@ -152,20 +139,17 @@ let bulk_cycles_in t ~detail ~bytes ~avg_hops =
         let factor = Fault.noc_factor fi in
         if factor > 1.0 then begin
           let extra = base *. (factor -. 1.0) in
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
+          if Obs.on t.obs then
+            Obs.emit t.obs
               (Trace.Fault
                  { site = "noc"; action = "inject"; detail; cycles = extra });
-          if Metrics.enabled t.metrics then
-            Metrics.Sim.fault t.metrics ~site:"noc" ~action:"inject"
-              ~cycles:extra;
           base +. extra
         end
         else base
       end
   in
-  if Prof.enabled t.prof then
-    Prof.record t.prof "noc.bulk" ~ns:(Prof.now_ns () -. t0);
+  if Prof.enabled prof then
+    Prof.record prof "noc.bulk" ~ns:(Prof.now_ns () -. t0);
   cycles
 
 let merge_into ~dst src =

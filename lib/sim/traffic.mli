@@ -19,35 +19,19 @@ val category_name : category -> string
 
 type t
 
-val create :
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  ?prof:Prof.t ->
-  ?faults:Fault.injector ->
-  Machine_config.t ->
-  t
-(** [create ?trace ?metrics ?prof ?faults cfg]: every [add] / [add_local]
-    additionally emits a typed trace event on [trace] (default
-    {!Trace.null}, a no-op) and updates [metrics] (default
-    [Metrics.null]) — per-category NoC counters that mirror the buckets
-    bit-exactly plus per-link load gauges. [prof] (default [Prof.null])
-    rides along to the downstream models ([Imc], [Near], [Corem]) for
-    host-time span accounting; {!bulk_cycles_in} records a ["noc.bulk"]
-    leaf on it. When [faults] is given, the injector rides along for
-    downstream models ([Imc], [Near], [Dram] call sites) and
+val create : ?obs:Obs.t -> ?faults:Fault.injector -> Machine_config.t -> t
+(** [create ?obs ?faults cfg]: every [add] / [add_local] additionally
+    emits a typed event through [obs] (default {!Obs.null}, a no-op),
+    which the handle folds into per-category NoC counters that mirror the
+    buckets bit-exactly plus per-link load gauges. The handle rides along
+    to the downstream models ([Imc], [Near], [Corem], [Dram] call sites),
+    which emit their own events and wrap their entry points in profiler
+    spans on it; {!bulk_cycles_in} records a ["noc.bulk"] span leaf. When
+    [faults] is given, the injector rides along for downstream models and
     {!bulk_cycles_in} draws NoC-degradation faults. *)
 
-val trace_of : t -> Trace.t
-(** The trace context this accounting was created with — downstream models
-    ([Imc], [Near]) emit their own events on it. *)
-
-val metrics_of : t -> Metrics.t
-(** The metric registry this accounting was created with — downstream
-    models record their own series on it. *)
-
-val prof_of : t -> Prof.t
-(** The span profiler this accounting was created with — downstream
-    models wrap their entry points in spans on it. *)
+val obs_of : t -> Obs.t
+(** The instrumentation handle this accounting was created with. *)
 
 val faults_of : t -> Fault.injector option
 (** The fault injector this accounting was created with, if any. *)
@@ -82,8 +66,8 @@ val bulk_cycles_in : t -> detail:string -> bytes:float -> avg_hops:float -> floa
 (** {!bulk_cycles} for a transfer that actually happens on this traffic
     context: when a fault injector is attached and [bytes > 0], draws one
     link-degradation fault — a degraded transfer costs [noc_jitter]x the
-    nominal cycles, and the excess is emitted as a [fault] trace/metrics
-    event tagged with [detail]. Identical to {!bulk_cycles} otherwise. *)
+    nominal cycles, and the excess is emitted as a [fault] event tagged
+    with [detail]. Identical to {!bulk_cycles} otherwise. *)
 
 val merge_into : dst:t -> t -> unit
 

@@ -126,7 +126,7 @@ let event_to_json ~seq ev =
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* ----- metrics registry ----- *)
+(* ----- derived counter table ----- *)
 
 module Metrics = struct
   type t = (string, float ref) Hashtbl.t
@@ -152,10 +152,7 @@ type writer = { write : string -> unit; flush : unit -> unit }
 
 type chrome_state = { w : writer; mutable first : bool; mutable now : float }
 
-type sink =
-  | Null
-  | Ring of { capacity : int; buf : event option array; mutable head : int }
-  | Jsonl_sink of writer
+type sink = Null | Jsonl_sink of writer
   | Chrome_sink of chrome_state
 
 type t = {
@@ -169,9 +166,6 @@ type t = {
 let null = { enabled = false; metrics = Metrics.create (); seq = 0; closed = true; sink = Null }
 
 let make sink = { enabled = true; metrics = Metrics.create (); seq = 0; closed = false; sink }
-
-let ring ?(capacity = 4096) () =
-  make (Ring { capacity = max 1 capacity; buf = Array.make (max 1 capacity) None; head = 0 })
 
 let buffer_writer b = { write = Buffer.add_string b; flush = (fun () -> ()) }
 
@@ -190,8 +184,8 @@ let to_channel fmt oc = of_writer fmt (channel_writer oc)
 
 let enabled t = t.enabled
 
-(* Derived metrics: every event updates the registry so aggregate totals can
-   be cross-checked against Report / Breakdown / Traffic. Only [Send]
+(* Derived counters: every event updates the flat table so aggregate totals
+   can be cross-checked against Report / Breakdown / Traffic. Only [Send]
    updates NoC byte counters ([Deliver] marks completion of bytes already
    counted). The accumulation expressions mirror Traffic exactly so that
    float results are bit-identical. *)
@@ -301,9 +295,6 @@ let emit t ev =
     t.seq <- t.seq + 1;
     match t.sink with
     | Null -> ()
-    | Ring r ->
-      r.buf.(r.head) <- Some ev;
-      r.head <- (r.head + 1) mod r.capacity
     | Jsonl_sink w ->
       w.write (event_to_json ~seq:t.seq ev);
       w.write "\n"
@@ -327,30 +318,15 @@ let emit t ev =
         c.w.write line)
   end
 
-let add_cycles t cat v =
-  if t.enabled then emit t (Counter { name = "cycles." ^ cat; value = v })
-
 let counter t name = Metrics.get t.metrics name
 let counters t = Metrics.to_alist t.metrics
 let events_seen t = t.seq
-
-let ring_events t =
-  match t.sink with
-  | Ring r ->
-    let out = ref [] in
-    for i = 0 to r.capacity - 1 do
-      match r.buf.((r.head + r.capacity - 1 - i) mod r.capacity) with
-      | Some ev -> out := ev :: !out
-      | None -> ()
-    done;
-    !out
-  | _ -> []
 
 let close t =
   if t.enabled && not t.closed then begin
     t.closed <- true;
     match t.sink with
-    | Null | Ring _ -> ()
+    | Null -> ()
     | Jsonl_sink w ->
       let b = Buffer.create 256 in
       Buffer.add_string b "{\"ev\":\"summary\",\"counters\":{";

@@ -1,13 +1,16 @@
-(** Structured tracing & metrics for the simulator ([infs_trace]).
+(** Structured tracing for the simulator ([infs_trace]).
 
-    A trace context [t] is threaded through the simulator, the JIT runtime
-    and the engine. Components emit {e typed events} (NoC packet
-    send/deliver, SRAM bank command issue/retire, DRAM bursts, TTU
-    transposition, JIT lowering spans, memo hits/misses, Eq. 2 offload
-    decisions, sync barriers, per-category cycle charges); a context also
-    owns a {e metrics registry} of counters derived from the event stream,
-    whose per-category totals reconcile exactly — same floats, same
-    accumulation order — with the engine's {e Report}/{e Breakdown}.
+    The event type is the simulator's one instrumentation vocabulary:
+    components emit {e typed events} (NoC packet send/deliver, SRAM bank
+    command issue/retire, DRAM bursts, TTU transposition, JIT lowering
+    spans, memo hits/misses, Eq. 2 offload decisions, sync barriers,
+    per-category cycle charges) through an [Obs.t] handle, which writes
+    each one to a trace context [t] and folds it into the metrics
+    registry. A context also keeps a flat table of counters derived from
+    the event stream (behind the JSONL [summary] line and the Chrome
+    counter tracks); its per-category totals reconcile exactly — same
+    floats, same accumulation order — with the engine's {e Report}/{e
+    Breakdown}.
 
     Traces are fully deterministic given the workload, paradigm and machine
     configuration: the simulator is a deterministic cost model and events
@@ -18,8 +21,7 @@
     Sinks:
     - {!null} — the default; [emit] is a no-op behind a single branch, so
       instrumented code pays near-zero overhead when tracing is off. Call
-      sites must guard event {e construction} with {!enabled}.
-    - {!ring} — keeps the most recent events in memory (flight recorder).
+      sites guard event {e construction} with [Obs.on].
     - JSON-Lines ({!to_buffer} / {!to_channel} with {!Jsonl}) — one JSON
       object per event, fixed field order, canonical float formatting
       (shortest representation that round-trips exactly); {!close} appends
@@ -76,15 +78,18 @@ type event =
           mitigation step ([action = "retry" | "fallback"]); [cycles] is the
           simulated time lost to this event (stall penalty, wasted attempt) *)
   | Counter of { name : string; value : float }
-      (** a metrics charge, e.g. [cycles.core] — the reconciliation spine *)
+      (** a named counter increment: a cycle charge ([cycles.core] — the
+          reconciliation spine), a compile-cache lookup, a serve/front
+          loop counter *)
   | Request_span of { request : string; stage : string; us : float }
       (** one lifecycle stage of a served request
           ([stage = "queue_wait" | "run" | "write_back"]), attributed to
           the request's echoed id. Unlike every other event, [us] is {e
           host} microseconds — serving latency is a wall-clock quantity —
           so serve traces are not golden-testable byte-for-byte; their
-          event {e counts} still are. Derived counters:
-          [serve.spans.<stage>] and [serve.span_us.<stage>]. *)
+          event {e counts} still are. The trace's own counter table
+          derives [serve.spans.<stage>] and [serve.span_us.<stage>]; the
+          metrics registry does not fold these events. *)
 
 type format = Jsonl | Chrome
 
@@ -94,24 +99,14 @@ val null : t
 (** The shared disabled context. [enabled null = false]; emitting on it is
     a no-op and accumulates nothing. *)
 
-val ring : ?capacity:int -> unit -> t
-(** In-memory flight recorder keeping the last [capacity] (default 4096)
-    events. *)
-
 val to_buffer : format -> Buffer.t -> t
 val to_channel : format -> out_channel -> t
 
 val enabled : t -> bool
-(** Guard event construction with this at hot call sites. *)
 
 val emit : t -> event -> unit
-(** Record one event: updates the derived metrics, then writes the event to
-    the sink. No-op on {!null}. *)
-
-val add_cycles : t -> string -> float -> unit
-(** [add_cycles t cat v] emits [Counter {name = "cycles." ^ cat; value = v}].
-    The engine calls this wherever it charges a [Breakdown] category, with
-    the identical float, so per-category sums reconcile exactly. *)
+(** Record one event: updates the derived counters, then writes the event
+    to the sink. No-op on {!null}. *)
 
 val counter : t -> string -> float
 (** Current value of one counter (0 if never written). *)
@@ -120,10 +115,7 @@ val counters : t -> (string * float) list
 (** All counters, sorted by name. *)
 
 val events_seen : t -> int
-(** Events emitted so far (including on the ring after wrap-around). *)
-
-val ring_events : t -> event list
-(** Retained events, oldest first. Empty for non-ring sinks. *)
+(** Events emitted so far. *)
 
 val close : t -> unit
 (** Finalize the sink: JSONL appends the [summary] counters line, Chrome

@@ -20,7 +20,7 @@ let test_null () =
   Metrics.incr m "a" 1.0;
   Metrics.gauge_add m "b" 2.0;
   Metrics.observe m "c" 3.0;
-  Metrics.Sim.sync_barrier m ~cycles:4.0;
+  Metrics.apply m Metrics.default_geometry (Trace.Sync_barrier { cycles = 4.0 });
   Alcotest.(check int) "no calls" 0 (Metrics.calls m);
   Alcotest.(check (float 0.0)) "no value" 0.0 (Metrics.value m "a");
   Alcotest.(check int) "empty snapshot" 0 (List.length (Metrics.snapshot m))
@@ -71,6 +71,20 @@ let test_histogram_bucketing () =
     Alcotest.(check (list (pair (float 0.0) int)))
       "bucket placement"
       [ (0.0, 2); (1.0, 1); (4.0, 2); (8.0, 1) ]
+      h.Metrics.buckets
+
+(* NaN is ignored (as Stats.minimum/maximum ignore it); +inf is over range
+   like any huge sample and lands in the top clamped bucket *)
+let test_histogram_non_finite () =
+  let m = Metrics.create () in
+  List.iter (Metrics.observe m "h") [ nan; infinity; 0.75 ];
+  match hist_of m "h" [] with
+  | None -> Alcotest.fail "histogram series missing"
+  | Some h ->
+    Alcotest.(check int) "NaN is not counted" 2 h.Metrics.count;
+    Alcotest.(check (list (pair (float 0.0) int)))
+      "+inf in the top bucket"
+      [ (1.0, 1); (Float.ldexp 1.0 128, 1) ]
       h.Metrics.buckets
 
 let test_hist_quantile () =
@@ -256,6 +270,112 @@ let test_replay_agreement () =
       (Infs_workloads.Micro.array_sum ~n:4096, E.Base);
     ]
 
+(* ---- replay parser: the inverse of Trace.event_to_json ---- *)
+
+let gen_event =
+  let open QCheck.Gen in
+  let f =
+    oneof
+      [
+        float;
+        map Int64.float_of_bits ui64;
+        map float_of_int small_signed_int;
+        oneofl [ nan; infinity; neg_infinity; -0.0; 1e16; 0.1; Float.max_float; Float.min_float ];
+      ]
+  in
+  let c = oneof [ printable; oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\000'; '\031'; '\127'; '\200' ] ] in
+  let s = string_size ~gen:c (int_bound 12) in
+  let i = oneof [ small_signed_int; int_range (-(1 lsl 52)) (1 lsl 52) ] in
+  oneof
+    [
+      (let+ dir = oneofl [ Trace.Send; Trace.Deliver ]
+       and+ category = s and+ bytes = f and+ hops = f and+ packets = f in
+       Trace.Noc_packet { dir; category; bytes; hops; packets });
+      (let+ channel = s and+ bytes = f in
+       Trace.Local_move { channel; bytes });
+      (let+ phase = oneofl [ Trace.Issue; Trace.Retire ]
+       and+ kind = s and+ label = s and+ tiles = i and+ lanes = i and+ cycles = f in
+       Trace.Sram_cmd { phase; kind; label; tiles; lanes; cycles });
+      (let+ bytes = f and+ cycles = f in
+       Trace.Dram_burst { bytes; cycles });
+      (let+ bytes = f and+ cycles = f in
+       Trace.Ttu_transpose { bytes; cycles });
+      (let+ dir = oneofl [ Trace.Enter; Trace.Exit ]
+       and+ region = s and+ commands = i and+ cycles = f in
+       Trace.Jit_span { dir; region; commands; cycles });
+      (let+ key = s and+ hit = bool in
+       Trace.Memo { key; hit });
+      (let+ kernel = s and+ target = s and+ core_cycles = f and+ imc_cycles = f and+ reason = s in
+       Trace.Offload_decision { kernel; target; core_cycles; imc_cycles; reason });
+      (let+ cycles = f in
+       Trace.Sync_barrier { cycles });
+      (let+ kernel = s and+ where = s and+ cycles = f in
+       Trace.Region_exec { kernel; where; cycles });
+      (let+ site = s and+ action = s and+ detail = s and+ cycles = f in
+       Trace.Fault { site; action; detail; cycles });
+      (let+ name = s and+ value = f in
+       Trace.Counter { name; value });
+      (let+ request = s and+ stage = s and+ us = f in
+       Trace.Request_span { request; stage; us });
+    ]
+
+(* [compare], not [=]: nan <> nan *)
+let prop_event_round_trip =
+  QCheck.Test.make ~count:2000 ~name:"replay parser inverts event_to_json"
+    (QCheck.make gen_event ~print:(Trace.event_to_json ~seq:1))
+    (fun ev ->
+      let line = Trace.event_to_json ~seq:1 ev in
+      match Result.bind (Json.parse line) Trace_replay.event_of_json with
+      | Ok (Some ev') when compare ev ev' = 0 -> true
+      | Ok (Some ev') -> QCheck.Test.fail_reportf "parsed back as %s" (Trace.event_to_json ~seq:1 ev')
+      | Ok None -> QCheck.Test.fail_report "skipped"
+      | Error e -> QCheck.Test.fail_report e)
+
+let test_replay_parser_errors () =
+  let feed line = Trace_replay.feed_line (Trace_replay.create ()) line in
+  let rejects what line needles =
+    match feed line with
+    | Ok () -> Alcotest.failf "%s: accepted %s" what line
+    | Error e ->
+      List.iter
+        (fun n ->
+          if not (contains e n) then Alcotest.failf "%s: error %S does not name %S" what e n)
+        needles
+  in
+  rejects "missing field" {|{"seq":1,"ev":"dram","bytes":8}|} [ "dram"; "cycles" ];
+  rejects "wrong type" {|{"seq":1,"ev":"dram","bytes":"8","cycles":2}|} [ "dram"; "bytes" ];
+  rejects "not an integer" {|{"seq":1,"ev":"jit","dir":"exit","region":"r","commands":1.5,"cycles":2}|}
+    [ "jit"; "commands" ];
+  rejects "unknown dir"
+    {|{"seq":1,"ev":"noc","dir":"sideways","cat":"data","bytes":8,"hops":1,"packets":1}|}
+    [ "noc"; "dir"; "sideways" ];
+  rejects "unknown phase"
+    {|{"seq":1,"ev":"sram","phase":"done","kind":"k","label":"l","tiles":1,"lanes":1,"cycles":0}|}
+    [ "sram"; "phase" ];
+  rejects "missing seq" {|{"ev":"sync","cycles":1}|} [ "sync"; "seq" ];
+  rejects "no ev" {|{"seq":1,"cycles":1}|} [ "ev" ];
+  let accepts what line =
+    match feed line with Ok () -> () | Error e -> Alcotest.failf "%s: rejected (%s)" what e
+  in
+  accepts "quoted non-finite" {|{"seq":1,"ev":"dram","bytes":"inf","cycles":"nan"}|};
+  accepts "summary line" {|{"ev":"summary","counters":{"dram.bytes":8}}|};
+  accepts "unknown kind" {|{"seq":1,"ev":"from-the-future","x":1}|};
+  (* a truncated trace stops at the bad line instead of replaying it *)
+  let rp = Trace_replay.create () in
+  let tmp = Filename.temp_file "infs-replay" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let oc = open_out tmp in
+      output_string oc "{\"seq\":1,\"ev\":\"sync\",\"cycles\":1}\n{\"seq\":2,\"ev\":\"dram\",\"bytes\":8}\n";
+      close_out oc;
+      let ic = open_in tmp in
+      let r = Trace_replay.feed_channel rp ic in
+      close_in ic;
+      match r with
+      | Ok n -> Alcotest.failf "truncated trace replayed %d events" n
+      | Error e -> Alcotest.(check bool) ("error names line 2: " ^ e) true (contains e "line 2: dram event"))
+
 (* ---- golden bottleneck report ---- *)
 
 let golden path =
@@ -309,10 +429,13 @@ let suite =
     ("null registry", `Quick, test_null);
     ("counters + snapshot order", `Quick, test_counters_and_sorting);
     ("histogram bucketing", `Quick, test_histogram_bucketing);
+    ("histogram: non-finite samples", `Quick, test_histogram_non_finite);
     ("histogram quantile", `Quick, test_hist_quantile);
     ("json exposition", `Quick, test_json_exposition);
     ("prometheus exposition", `Quick, test_prom_exposition);
     ("live = replay", `Quick, test_replay_agreement);
+    ("replay parser: strict fields", `Quick, test_replay_parser_errors);
+    QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_event_round_trip;
     ("golden analyze report", `Quick, test_golden_analyze);
   ]
   @ reconcile_tests

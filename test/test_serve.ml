@@ -6,7 +6,9 @@
    - graceful drain answers every admitted request (cancelled = 0) and
      the final stats reconcile with the responses the client saw,
    - a qcheck property: engine reports served over the socket are
-     byte-identical to direct in-process runs of the same specs. *)
+     byte-identical to direct in-process runs of the same specs,
+   - replaying a served session's JSONL trace rebuilds its live metrics
+     registry, minus the series that have no event. *)
 
 let sock_counter = ref 0
 
@@ -18,11 +20,11 @@ let sock_path tag =
 
 (* start a server, run [f], always drain; returns f's result, the final
    stats and the server's metrics registry (valid after the drain) *)
-let with_server ?(jobs = 2) ?(queue_depth = 64) ?default_timeout_s ~tag ~handler
-    f =
+let with_server ?(jobs = 2) ?(queue_depth = 64) ?default_timeout_s ?(trace = Trace.null) ~tag
+    ~handler f =
   let path = sock_path tag in
   let cfg =
-    { (Serve.default_config ~socket_path:path) with queue_depth; default_timeout_s }
+    { (Serve.default_config ~socket_path:path) with queue_depth; default_timeout_s; trace }
   in
   match Serve.start cfg (Serve.local ~jobs handler) with
   | Error e -> Alcotest.fail e
@@ -326,6 +328,59 @@ let test_deep_line () =
   let (), st, _ = with_server ~tag:"deep" ~handler:echo (fun _t path -> check_deep_line path) in
   Alcotest.(check int) "the deep line is one bad request" 1 st.Serve.bad
 
+(* ---- live = replay (also run through the front) ---- *)
+
+(* mixed traffic: requests, a repeat, a probe, a malformed line *)
+let mixed_traffic path =
+  let fd, ic, oc = connect path in
+  for i = 0 to 3 do
+    send oc (Printf.sprintf {|{"id": %d, "w": "r%d"}|} i (i mod 2))
+  done;
+  send oc {|{"ping": 1, "id": 99}|};
+  send oc "this is { not json";
+  for _ = 0 to 5 do
+    ignore (response (input_line ic))
+  done;
+  Unix.close fd
+
+(* Series with no event: the loop's queue-depth gauge and latency
+   histogram, and the local handler's pool utilization. *)
+let live_only prefix (s : Metrics.series) =
+  s.Metrics.name = prefix ^ ".queue_depth"
+  || s.Metrics.name = prefix ^ ".latency_us"
+  || String.starts_with ~prefix:"pool." s.Metrics.name
+
+(* [run trace] serves with [trace] on a JSONL file and returns the live
+   registry after the drain; replaying the file must rebuild it exactly,
+   minus the live-only series *)
+let check_live_replay ~prefix run =
+  let tmp = Filename.temp_file "infs-live-replay" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out tmp in
+      let trace = Trace.to_channel Trace.Jsonl oc in
+      let live = run trace in
+      Trace.close trace;
+      close_out oc;
+      let rp = Trace_replay.create () in
+      let ic = open_in tmp in
+      let fed = Trace_replay.feed_channel rp ic in
+      close_in ic;
+      (match fed with
+      | Ok n -> Alcotest.(check bool) "trace carries events" true (n > 0)
+      | Error e -> Alcotest.failf "replay failed: %s" e);
+      let sigs snap = List.map (fun s -> Json.to_string (Metrics.to_json [ s ])) snap in
+      Alcotest.(check (list string))
+        "replayed snapshot = live snapshot minus live-only series"
+        (sigs (List.filter (fun s -> not (live_only prefix s)) (Metrics.snapshot live)))
+        (sigs (Metrics.snapshot (Trace_replay.metrics rp))))
+
+let test_live_replay () =
+  check_live_replay ~prefix:"serve" (fun trace ->
+      let (), _, m = with_server ~trace ~tag:"replay" ~handler:echo (fun _t path -> mixed_traffic path) in
+      m)
+
 (* ---- load generator: latency from the due time ---- *)
 
 let test_client_counts_sender_lateness () =
@@ -362,4 +417,5 @@ let suite =
     Alcotest.test_case "bounded decoding: deep nesting" `Quick test_deep_line;
     Alcotest.test_case "client latency counts sender lateness" `Quick
       test_client_counts_sender_lateness;
+    Alcotest.test_case "live = replay" `Quick test_live_replay;
   ]

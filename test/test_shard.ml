@@ -11,7 +11,8 @@
      admitted requests are lost,
    - a graceful drain answers everything already admitted,
    - replaying the front's JSONL trace reproduces its shard.* counters
-     exactly (live = replay reconciliation),
+     exactly, and its whole registry minus the live-only series (live =
+     replay reconciliation),
    - engine reports served through the front (pacing client, UDS and
      TCP targets) are byte-identical to direct in-process runs. *)
 
@@ -415,6 +416,13 @@ let test_live_replay_agreement () =
             (Metrics.value m name) (Metrics.value rm name))
         counter_names)
 
+let test_live_replay_snapshot () =
+  Test_serve.check_live_replay ~prefix:"shard" (fun trace ->
+      let (), _, m =
+        with_front ~tag:"replay-all" ~trace ~handler:echo (fun _t path -> Test_serve.mixed_traffic path)
+      in
+      m)
+
 (* ---- byte identity under the pacing client, UDS and TCP ---- *)
 
 let test_workloads = [ "vec_add"; "array_sum" ]
@@ -537,6 +545,7 @@ let suite =
       test_drain_answers_admitted;
     Alcotest.test_case "live = replay counter agreement" `Quick
       test_live_replay_agreement;
+    Alcotest.test_case "live = replay: whole registry" `Quick test_live_replay_snapshot;
     Alcotest.test_case "pacing client over UDS: byte-identical reports" `Quick
       test_client_uds_byte_identity;
     Alcotest.test_case "pacing client over TCP: byte-identical reports" `Quick

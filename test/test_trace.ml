@@ -1,5 +1,5 @@
 (* The structured tracing subsystem (infs_trace):
-   - sink behaviour (null / ring / JSONL / Chrome) and the canonical JSON
+   - sink behaviour (null / JSONL / Chrome) and the canonical JSON
      serialization,
    - golden traces: small fixed (workload, paradigm) pairs must reproduce
      the committed JSONL byte-for-byte, so any silent change to an
@@ -51,25 +51,9 @@ let test_event_json () =
 let test_null_sink () =
   Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
   Trace.emit Trace.null (Trace.Sync_barrier { cycles = 1.0 });
-  Trace.add_cycles Trace.null "core" 5.0;
+  Trace.emit Trace.null (Trace.Counter { name = "cycles.core"; value = 5.0 });
   Alcotest.(check int) "no events recorded" 0 (Trace.events_seen Trace.null);
   Alcotest.(check (float 0.0)) "no counters" 0.0 (Trace.counter Trace.null "cycles.core")
-
-let test_ring_sink () =
-  let t = Trace.ring ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.emit t (Trace.Sync_barrier { cycles = float_of_int i })
-  done;
-  Alcotest.(check int) "all events counted" 10 (Trace.events_seen t);
-  let kept =
-    List.map
-      (function Trace.Sync_barrier { cycles } -> cycles | _ -> nan)
-      (Trace.ring_events t)
-  in
-  Alcotest.(check (list (float 0.0))) "last 4 kept, oldest first"
-    [ 7.0; 8.0; 9.0; 10.0 ] kept;
-  Alcotest.(check (float 0.0)) "metrics still aggregate all" 10.0
-    (Trace.counter t "sync.barriers")
 
 let test_jsonl_sink_summary () =
   let buf = Buffer.create 256 in
@@ -81,14 +65,23 @@ let test_jsonl_sink_summary () =
   Alcotest.(check int) "two lines" 2 (List.length lines);
   Alcotest.(check string) "summary line"
     "{\"ev\":\"summary\",\"counters\":{\"dram.bytes\":8}}"
-    (List.nth lines 1)
+    (List.nth lines 1);
+  (* every event is counted, and the counters behind the summary
+     aggregate every event *)
+  let t = Trace.to_buffer Trace.Jsonl (Buffer.create 256) in
+  for i = 1 to 10 do
+    Trace.emit t (Trace.Sync_barrier { cycles = float_of_int i })
+  done;
+  Alcotest.(check int) "all events counted" 10 (Trace.events_seen t);
+  Alcotest.(check (float 0.0)) "metrics still aggregate all" 10.0
+    (Trace.counter t "sync.barriers")
 
 let test_chrome_sink () =
   let buf = Buffer.create 256 in
   let t = Trace.to_buffer Trace.Chrome buf in
   Trace.emit t (Trace.Dram_burst { bytes = 8.0; cycles = 2.0 });
   Trace.emit t (Trace.Ttu_transpose { bytes = 8.0; cycles = 3.0 });
-  Trace.add_cycles t "dram" 5.0;
+  Trace.emit t (Trace.Counter { name = "cycles.dram"; value = 5.0 });
   Trace.close t;
   let s = Buffer.contents buf in
   Alcotest.(check bool) "document shape" true
@@ -340,7 +333,6 @@ let suite =
     ("json float canonical form", `Quick, test_json_float);
     ("event serialization", `Quick, test_event_json);
     ("null sink", `Quick, test_null_sink);
-    ("ring sink", `Quick, test_ring_sink);
     ("jsonl summary line", `Quick, test_jsonl_sink_summary);
     ("chrome trace_event export", `Quick, test_chrome_sink);
     ("golden trace: vec_add @ In-L3", `Quick, test_golden_vec_add);
