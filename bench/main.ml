@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§8) on the simulated machine, plus Bechamel micro-benchmarks
-   of the framework's own hot paths (JIT lowering, e-graph saturation,
-   tensor decomposition).
+   evaluation (§8) on the simulated machine. The host cost of the
+   framework's own layers is measured by bench/host.
 
    Absolute cycle counts come from this repository's architectural
    simulator, not gem5 — EXPERIMENTS.md records the paper-vs-measured
@@ -644,75 +643,6 @@ let substrate () =
     ];
   Table.print t
 
-(* ---------- Bechamel micro-benchmarks of the framework itself ---------- *)
-
-let bechamel_section () =
-  let open Bechamel in
-  let open Toolkit in
-  let decompose_test =
-    Test.make ~name:"alg1-decompose-2k"
-      (Staged.stage (fun () ->
-           ignore
-             (Hyperrect.decompose
-                (Hyperrect.of_ranges [ (1, 2047); (1, 2047) ])
-                ~tile:[| 16; 16 |])))
-  in
-  let w = Infs_workloads.Stencil.stencil2d ~iters:1 ~n:2048 in
-  let fb =
-    match Fat_binary.compile w.WL.prog with Ok fb -> fb | Error e -> failwith e
-  in
-  let region = List.hd fb.Fat_binary.regions in
-  let g = region.Fat_binary.optimized in
-  let schedule = List.assoc 256 region.Fat_binary.schedules in
-  let layout =
-    match Layout.of_tile cfg ~shape:[| 2048; 2048 |] ~tile:[| 16; 16 |] with
-    | Ok l -> l
-    | Error e -> failwith e
-  in
-  let env = function "N" -> 2048 | "T" -> 1 | _ -> 0 in
-  let jit_test =
-    Test.make ~name:"jit-lower-stencil2d"
-      (Staged.stage (fun () -> ignore (Jit.lower cfg g ~schedule ~layout ~env)))
-  in
-  let conv = Infs_workloads.Conv.conv2d ~n:2048 in
-  let ck = List.hd (Ast.kernels conv.WL.prog) in
-  let initial =
-    match Frontend.extract conv.WL.prog ck with Ok g -> g | Error _ -> failwith "?"
-  in
-  let egraph_test =
-    Test.make ~name:"egraph-optimize-conv2d"
-      (Staged.stage (fun () ->
-           ignore
-             (Extract.optimize ~arrays:(Frontend.array_extents conv.WL.prog) initial)))
-  in
-  let t =
-    Table.create ~title:"Bechamel - framework hot paths"
-      ~columns:[ "test"; "ns/run (monotonic clock, OLS)" ]
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw =
-        Benchmark.all
-          (Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ())
-          Instance.[ monotonic_clock ]
-          test
-      in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name r ->
-          let est =
-            match Analyze.OLS.estimates r with
-            | Some (x :: _) -> x
-            | _ -> nan
-          in
-          Table.add_row t [ name; Table.fmt_float est ])
-        results)
-    [ decompose_test; jit_test; egraph_test ];
-  Table.print t
-
 (* ---------- metrics: JSON result dump + disabled-overhead bound ---------- *)
 
 (* Dump every cached (workload, paradigm, tag) cycle count as
@@ -1006,20 +936,15 @@ let full () =
   ablations ();
   portability ();
   substrate ();
-  area ();
-  bechamel_section ()
+  area ()
 
 (* ---------- sim-rate: hot-path throughput + cost-memo effectiveness ----------
 
    Simulated cycles per wall-clock second over the test-scale catalog on
    the four main paradigms — warm data, shared compiles, single domain:
-   the exact hot path the identity tier pins byte-for-byte. [baseline]
-   is this loop's rate measured at the PR 8 head (commit adb2913), before
-   the flat-core rewrite; the printed speedup tracks the rewrite. The
-   hard assertion is on the cost-memo hit rate (wall-clock depends on the
+   the exact hot path the identity tier pins byte-for-byte. The hard
+   assertion is on the cost-memo hit rate (wall-clock depends on the
    host; memo behavior does not). *)
-let sim_rate_baseline = 1.02e8
-
 let sim_rate_section () =
   let combos =
     List.concat_map
@@ -1048,9 +973,6 @@ let sim_rate_section () =
   Printf.printf
     "sim rate: %.3e simulated cycles/sec (%d combos x %d reps, %.1f ms wall)\n"
     rate (List.length combos) reps (wall *. 1e3);
-  Printf.printf "sim speedup: %.1fx the pre-rewrite baseline %.2e cycles/sec\n"
-    (rate /. sim_rate_baseline)
-    sim_rate_baseline;
   let hr = Costmemo.hit_rate () in
   Printf.printf
     "cost memo: sim.costmemo.hit=%d sim.costmemo.miss=%d -> %.2f%% hit rate \

@@ -301,9 +301,9 @@ let compile_cmd =
             | Some reason -> Format.printf "fallback (near-memory only): %s@." reason
             | None ->
               Format.printf "%s@." (Tdfg.to_string r.optimized);
-              Format.printf "e-graph: %d rounds, cost %.3g -> %.3g@."
-                r.opt_stats.Extract.rounds r.opt_stats.cost_before
-                r.opt_stats.cost_after;
+              let st = r.opt_stats in
+              Format.printf "e-graph: %d rounds, %d classes / %d nodes, cost %.3g -> %.3g@."
+                st.Extract.rounds st.classes st.nodes st.cost_before st.cost_after;
               List.iter
                 (fun (wl, (s : Schedule.t)) ->
                   Format.printf "schedule %d wordlines: %d/%d slots@." wl

@@ -76,13 +76,13 @@ let compile_region ~optimize ~extents prog (k : Ast.kernel) =
       info;
       schedules = [];
       hints = empty_hints;
-      opt_stats = { Extract.rounds = 0; cost_before = 0.0; cost_after = 0.0 };
+      opt_stats = Extract.no_opt;
       fallback = Some (Frontend.error_to_string e);
     }
   | Ok initial ->
     let optimized, opt_stats =
       if optimize then Extract.optimize ~arrays:extents initial
-      else (initial, { Extract.rounds = 0; cost_before = 0.0; cost_after = 0.0 })
+      else (initial, Extract.no_opt)
     in
     let schedules =
       List.filter_map

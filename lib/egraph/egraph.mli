@@ -7,7 +7,10 @@
     picks the cheapest representative (see {!Extract}).
 
     This is a from-scratch implementation of the hashcons + union-find +
-    rebuild design of egg \[67\], specialized to tDFG operators. *)
+    rebuild design of egg \[67\], specialized to tDFG operators. Every
+    cache (the hashcons, node and class counts, each class's sorted node
+    list) lives in its graph, so graphs on different domains share
+    nothing. *)
 
 type eid = int
 (** E-class id (canonical after {!rebuild}). *)
@@ -45,13 +48,19 @@ val classes : t -> eid list
 (** Canonical class ids. *)
 
 val nodes_of : t -> eid -> enode list
-(** E-nodes of one class (children canonicalized). *)
+(** E-nodes of one class, children canonicalized, sorted by [compare] and
+    deduplicated. The list is kept in the class and rebuilt only after a
+    union changed the class's nodes or moved one of their children. *)
 
 val domain_of : t -> eid -> Tdfg.dom
 (** Domain analysis value carried by the class. *)
 
 val class_count : t -> int
+(** Canonical classes. *)
+
 val node_count : t -> int
+(** E-nodes over the canonical classes; a class's duplicates count until
+    {!rebuild} merges them. *)
 
 val children : enode -> eid list
 

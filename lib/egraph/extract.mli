@@ -23,7 +23,16 @@ val extract :
 (** Choose a representative per live class; returns the choice function and
     the total DAG cost of the extraction reachable from [roots]. *)
 
-type opt_stats = { rounds : int; cost_before : float; cost_after : float }
+type opt_stats = {
+  rounds : int;  (** saturation rounds run *)
+  classes : int;  (** e-classes of the saturated graph *)
+  nodes : int;  (** e-nodes of the saturated graph *)
+  cost_before : float;  (** DAG cost of the input tDFG *)
+  cost_after : float;  (** DAG cost of the extracted tDFG *)
+}
+
+val no_opt : opt_stats
+(** All zero: the stats of a tDFG that was not optimized. *)
 
 val optimize :
   ?nominal:int ->

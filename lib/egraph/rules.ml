@@ -2,10 +2,15 @@ open Egraph
 
 type rule = { rname : string; apply : Egraph.t -> (eid * eid) list }
 
-(* Snapshot of (class, node) pairs; rules match against this and return
-   unions, so growing the graph mid-rule cannot invalidate iteration. *)
-let snapshot g =
-  List.concat_map (fun c -> List.map (fun n -> (c, n)) (nodes_of g c)) (classes g)
+(* Match [f cls n] against every (class, node) pair in class-id then node
+   order and collect the unions it proposes. The classes are those present
+   when the rule starts: adding a node makes a new class and leaves every
+   existing class's nodes alone, so growing the graph mid-rule changes no
+   match. *)
+let scan g f =
+  List.concat_map (fun cls -> List.concat_map (f cls) (nodes_of g cls)) (classes g)
+
+let scan_opt g f = scan g (fun cls n -> Option.to_list (f cls n))
 
 let is_infinite g id =
   match domain_of g id with Tdfg.Infinite -> true | Tdfg.Finite _ -> false
@@ -38,12 +43,10 @@ let rule_comm =
     rname = "comm";
     apply =
       (fun g ->
-        List.filter_map
-          (function
-            | cls, E_cmp (op, [ a; b ]) when Op.is_commutative op ->
+        scan_opt g (fun cls -> function
+            | E_cmp (op, [ a; b ]) when Op.is_commutative op ->
               Option.map (fun n -> (cls, n)) (try_add g (E_cmp (op, [ b; a ])))
-            | _ -> None)
-          (snapshot g));
+            | _ -> None));
   }
 
 (* Eq. 3a: associativity. *)
@@ -52,9 +55,8 @@ let rule_assoc =
     rname = "assoc";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_cmp (op, [ ab; c ]) when Op.is_associative op ->
+        scan g (fun cls -> function
+            | E_cmp (op, [ ab; c ]) when Op.is_associative op ->
               List.filter_map
                 (function
                   | E_cmp (op', [ a; b ]) when Op.equal op op' -> (
@@ -64,8 +66,7 @@ let rule_assoc =
                       Option.map (fun n -> (cls, n)) (try_add g (E_cmp (op, [ a; bc ]))))
                   | _ -> None)
                 (nodes_of g ab)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 (* Eq. 3c: factor a common constant multiplier: a*k + b*k => (a+b)*k. *)
@@ -82,9 +83,8 @@ let rule_factor =
               | _ -> None)
             (nodes_of g cls)
         in
-        List.concat_map
-          (function
-            | cls, E_cmp (f, [ x; y ]) when Op.equal f Op.Add || Op.equal f Op.Sub ->
+        scan g (fun cls -> function
+            | E_cmp (f, [ x; y ]) when Op.equal f Op.Add || Op.equal f Op.Sub ->
               List.concat_map
                 (fun (a, ka) ->
                   List.filter_map
@@ -99,8 +99,7 @@ let rule_factor =
                             (try_add g (E_cmp (Op.Mul, [ sum; ka ]))))
                     (const_muls y))
                 (const_muls x)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 (* mv identities: distance 0; mv/bc of an infinite-domain constant; chained
@@ -110,10 +109,9 @@ let rule_mv_simplify =
     rname = "mv-simplify";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_mv { input; dist = 0; _ } -> [ (cls, input) ]
-            | cls, E_mv { input; dim; dist } ->
+        scan g (fun cls -> function
+            | E_mv { input; dist = 0; _ } -> [ (cls, input) ]
+            | E_mv { input; dim; dist } ->
               if is_infinite g input then [ (cls, input) ]
               else
                 List.filter_map
@@ -124,9 +122,8 @@ let rule_mv_simplify =
                         (try_add g (E_mv { input = inner; dim; dist = dist + dist2 }))
                     else None)
                   (mvs_of g input)
-            | cls, E_bc { input; _ } when is_infinite g input -> [ (cls, input) ]
-            | _ -> [])
-          (snapshot g));
+            | E_bc { input; _ } when is_infinite g input -> [ (cls, input) ]
+            | _ -> []));
   }
 
 (* Eq. 4a: hoist a common mv out of a compute node — every finite operand is
@@ -136,9 +133,8 @@ let rule_hoist_mv =
     rname = "hoist-mv";
     apply =
       (fun g ->
-        List.filter_map
-          (function
-            | cls, E_cmp (op, inputs) -> begin
+        scan_opt g (fun cls -> function
+            | E_cmp (op, inputs) -> begin
               let finite = List.filter (fun i -> not (is_infinite g i)) inputs in
               match finite with
               | [] -> None
@@ -170,8 +166,7 @@ let rule_hoist_mv =
                 end
                 | _ -> None)
             end
-            | _ -> None)
-          (snapshot g));
+            | _ -> None));
   }
 
 (* Eq. 4a reversed: sink a mv below a compute node. *)
@@ -180,9 +175,8 @@ let rule_sink_mv =
     rname = "sink-mv";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_mv { input; dim; dist } ->
+        scan g (fun cls -> function
+            | E_mv { input; dim; dist } ->
               List.filter_map
                 (function
                   | E_cmp (op, inputs) ->
@@ -200,8 +194,7 @@ let rule_sink_mv =
                         (try_add g (E_cmp (op, List.map Option.get moved)))
                   | _ -> None)
                 (nodes_of g input)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 (* Eq. 4b: hoist a common bc out of a compute node. *)
@@ -210,9 +203,8 @@ let rule_hoist_bc =
     rname = "hoist-bc";
     apply =
       (fun g ->
-        List.filter_map
-          (function
-            | cls, E_cmp (op, inputs) -> begin
+        scan_opt g (fun cls -> function
+            | E_cmp (op, inputs) -> begin
               let finite = List.filter (fun i -> not (is_infinite g i)) inputs in
               match finite with
               | [] -> None
@@ -244,8 +236,7 @@ let rule_hoist_bc =
                         (try_add g (E_bc { input = inner; dim; lo; hi }))
                 end)
             end
-            | _ -> None)
-          (snapshot g));
+            | _ -> None));
   }
 
 (* Eq. 5: expand a tensor view to the whole array behind a shrink. *)
@@ -254,9 +245,8 @@ let rule_expand_tensor ~arrays =
     rname = "expand-tensor";
     apply =
       (fun g ->
-        List.filter_map
-          (function
-            | cls, E_tensor { array; view; axes } -> begin
+        scan_opt g (fun cls -> function
+            | E_tensor { array; view; axes } -> begin
               match List.assoc_opt array arrays with
               | None -> None
               | Some extents ->
@@ -278,8 +268,7 @@ let rule_expand_tensor ~arrays =
                       (try_add g (E_shrink { input = big; rect = view }))
                 end
             end
-            | _ -> None)
-          (snapshot g));
+            | _ -> None));
   }
 
 (* Eq. 6b: nested shrinks collapse (inner domain already contains outer). *)
@@ -288,9 +277,8 @@ let rule_shrink_shrink =
     rname = "shrink-shrink";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_shrink { input; rect } ->
+        scan g (fun cls -> function
+            | E_shrink { input; rect } ->
               List.filter_map
                 (fun (inner, rect2) ->
                   if Symrect.contains rect2 rect then
@@ -299,8 +287,7 @@ let rule_shrink_shrink =
                       (try_add g (E_shrink { input = inner; rect }))
                   else None)
                 (shrinks_of g input)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 let rule_shrink_identity =
@@ -308,14 +295,12 @@ let rule_shrink_identity =
     rname = "shrink-identity";
     apply =
       (fun g ->
-        List.filter_map
-          (function
-            | cls, E_shrink { input; rect } -> (
+        scan_opt g (fun cls -> function
+            | E_shrink { input; rect } -> (
               match finite_dom g input with
               | Some d when Symrect.equal d rect -> Some (cls, input)
               | _ -> None)
-            | _ -> None)
-          (snapshot g));
+            | _ -> None));
   }
 
 (* Eq. 7a/7b: commute shrink with mv (shrink window shifts along). *)
@@ -324,9 +309,8 @@ let rule_shrink_mv =
     rname = "shrink-mv";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_mv { input; dim; dist } ->
+        scan g (fun cls -> function
+            | E_mv { input; dim; dist } ->
               (* mv(shrink(r, A)) => shrink(shift r, mv(A)) *)
               List.filter_map
                 (fun (src, r) ->
@@ -338,7 +322,7 @@ let rule_shrink_mv =
                       (try_add g
                          (E_shrink { input = moved; rect = Symrect.shift r ~dim ~dist })))
                 (shrinks_of g input)
-            | cls, E_shrink { input; rect } ->
+            | E_shrink { input; rect } ->
               (* shrink(r, mv(A)) => mv(shrink(shift^-1 r, A)) *)
               List.filter_map
                 (fun (src, dim, dist) ->
@@ -358,8 +342,7 @@ let rule_shrink_mv =
                   end
                   | _ -> None)
                 (mvs_of g input)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 (* Eq. 8b: shrink directly after a bc on the same dimension re-targets the
@@ -369,9 +352,8 @@ let rule_shrink_bc =
     rname = "shrink-bc";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_shrink { input; rect } ->
+        scan g (fun cls -> function
+            | E_shrink { input; rect } ->
               List.filter_map
                 (fun (src, dim, _lo, _hi) ->
                   match finite_dom g input with
@@ -393,8 +375,7 @@ let rule_shrink_bc =
                             }))
                   | _ -> None)
                 (bcs_of g input)
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 (* Eq. 9: commute shrink with compute (both directions). *)
@@ -403,9 +384,8 @@ let rule_shrink_cmp =
     rname = "shrink-cmp";
     apply =
       (fun g ->
-        List.concat_map
-          (function
-            | cls, E_shrink { input; rect } ->
+        scan g (fun cls -> function
+            | E_shrink { input; rect } ->
               (* shrink(r, cmp(f, xs)) => cmp(f, shrink(r, xs)) *)
               List.filter_map
                 (function
@@ -424,7 +404,7 @@ let rule_shrink_cmp =
                         (try_add g (E_cmp (op, List.map Option.get shrunk)))
                   | _ -> None)
                 (nodes_of g input)
-            | cls, E_cmp (op, inputs) -> begin
+            | E_cmp (op, inputs) -> begin
               (* cmp(f, shrink(r, xs)) => shrink(r, cmp(f, xs)) *)
               let finite = List.filter (fun i -> not (is_infinite g i)) inputs in
               match finite with
@@ -453,8 +433,7 @@ let rule_shrink_cmp =
                           (try_add g (E_shrink { input = inner; rect })))
                   (shrinks_of g f0)
             end
-            | _ -> [])
-          (snapshot g));
+            | _ -> []));
   }
 
 let all_rules ~arrays =

@@ -1,8 +1,10 @@
 (** tDFG rewrite rules (paper appendix, Eq. 3a–9) and the equality
     saturation driver.
 
-    Each rule scans a snapshot of the e-graph and proposes unions; a
-    saturation round applies every rule then rebuilds congruence. Rules
+    Each rule matches every (class, node) pair present when it starts, in
+    class-id then node order, and proposes unions; a saturation round
+    applies each rule in turn, merging its unions and rebuilding congruence
+    before the next. Rules
     preserve both value and lattice domain (enforced by {!Egraph.union}). *)
 
 type rule = { rname : string; apply : Egraph.t -> (Egraph.eid * Egraph.eid) list }
@@ -18,4 +20,6 @@ val saturate :
   Egraph.t ->
   int
 (** Run saturation rounds until a fixpoint, the iteration cap (default 8) or
-    the node limit (default 20_000). Returns the number of rounds run. *)
+    the node limit (default 20_000). Returns the number of rounds run. The
+    limit is checked before each rule, so the rule that crosses it runs to
+    the end: a saturated graph can hold more nodes than [node_limit]. *)

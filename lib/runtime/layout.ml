@@ -7,23 +7,36 @@ type t = {
 
 let ceil_div a b = (a + b - 1) / b
 
+let check_tile cfg tile =
+  let bitlines = cfg.Machine_config.sram_bitlines in
+  match Array.find_opt (fun c -> c < 1) tile with
+  | Some c -> Error (Printf.sprintf "tile component %d < 1" c)
+  | None ->
+    (* every factor is >= 1, so the product never shrinks: stop once past
+       [bitlines], before a huge component can overflow it *)
+    let vol =
+      Array.fold_left
+        (fun v c -> if v > bitlines || c > bitlines then bitlines + 1 else v * c)
+        1 tile
+    in
+    if vol = bitlines then Ok ()
+    else if vol > bitlines then
+      Error (Printf.sprintf "tile volume > %d bitlines" bitlines)
+    else Error (Printf.sprintf "tile volume %d != %d bitlines" vol bitlines)
+
 let build cfg ~shape ~tile =
   let n = Array.length shape in
   if Array.length tile <> n then Error "tile rank mismatch"
-  else begin
-    let bitlines = cfg.Machine_config.sram_bitlines in
-    let vol = Array.fold_left ( * ) 1 tile in
-    if vol <> bitlines then
-      Error (Printf.sprintf "tile volume %d != %d bitlines" vol bitlines)
-    else begin
+  else
+    match check_tile cfg tile with
+    | Error e -> Error e
+    | Ok () ->
       let grid = Array.init n (fun d -> max 1 (ceil_div shape.(d) tile.(d))) in
       let tiles_total = Array.fold_left ( * ) 1 grid in
       (* The grid may exceed the physical array count: only the tiles a
          region instance actually touches must be resident (the engine
          checks that per invocation, paper §6 limitation 2). *)
       Ok { tile; grid; shape; tiles_total }
-    end
-  end
 
 (* Constraint 2: contiguous-dimension elements per bank align with the
    cache line. The innermost lattice dimension is the contiguous one. *)

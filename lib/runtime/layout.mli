@@ -39,6 +39,10 @@ val score : Machine_config.t -> hints:Fat_binary.hints -> t -> float
 (** The heuristic's scoring function (exposed for the oracle sweep in the
     Fig. 16/17 benches; higher is better). *)
 
+val check_tile : Machine_config.t -> int array -> (unit, string) result
+(** An explicit tile must have every component >= 1 and a volume of exactly
+    [sram_bitlines]. *)
+
 val of_tile :
   Machine_config.t -> shape:int array -> tile:int array -> (t, string) result
 (** Build a layout from an explicit tile size (bench sweeps), checking the

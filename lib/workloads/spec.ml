@@ -57,8 +57,13 @@ let of_json j =
       | None -> Ok None
       | Some v -> (
         match Option.map (List.map Json.to_int) (Json.to_list v) with
-        | Some ints when List.for_all Option.is_some ints ->
-          Ok (Some (Array.of_list (List.map Option.get ints)))
+        | Some ints when List.for_all Option.is_some ints -> (
+          let tile = Array.of_list (List.map Option.get ints) in
+          (* the rank is left to the engine: an override applies only to
+             regions of its own rank *)
+          match Layout.check_tile Machine_config.default tile with
+          | Ok () -> Ok (Some tile)
+          | Error e -> Error ("field tile: " ^ e))
         | _ -> Error "field tile must be an array of integers")
     in
     (* "eq2": either a single override string applied to every kernel, or

@@ -14,7 +14,10 @@ type t = {
   warm : bool;  (** default [false] *)
   pre_transposed : bool;  (** default [false] *)
   charge_jit : bool;  (** default [true] *)
-  tile : int array option;  (** layout tile override *)
+  tile : int array option;
+      (** layout tile override: every component >= 1 and a volume of
+          {!Machine_config.default}'s [sram_bitlines]. The rank is not
+          checked: an override applies only to regions of its own rank. *)
   policy : Decision.policy;
       (** field ["eq2"]: one override for every kernel, or an object of
           per-kernel overrides with ["*"] as the default *)
@@ -29,7 +32,7 @@ val of_json : Json.t -> (t, string) result
 (** Decode a spec; unknown fields are ignored. Errors name the field:
     ["spec needs a \"workload\" string field"],
     ["field functional must be a boolean"],
-    ["field tile must be an array of integers"],
+    ["field tile must be an array of integers"], ["field tile: ..."],
     ["field timeout_s must be a positive number"],
     ["field eq2: ..."], ["field eq2 must be a string or an object"],
     ["field faults must be a spec string"], ["field faults: ..."]. *)

@@ -68,6 +68,15 @@ let test_field_errors () =
   err "tile of strings" {|{"workload": "w", "tile": ["4"]}|} "field tile must be an array of integers";
   err "tile not an array" {|{"workload": "w", "tile": 4}|} "field tile must be an array of integers";
   err "tile of fractions" {|{"workload": "w", "tile": [1.5]}|} "field tile must be an array of integers";
+  (* [-16,-16] has the 256-bitline volume, but a component below 1 *)
+  err "negative tile" {|{"workload": "w", "tile": [-16, -16]}|}
+    "field tile: tile component -16 < 1";
+  err "zero tile component" {|{"workload": "w", "tile": [0, 16]}|}
+    "field tile: tile component 0 < 1";
+  err "tile volume short of the bitlines" {|{"workload": "w", "tile": [3, 5]}|}
+    "field tile: tile volume 15 != 256 bitlines";
+  err "tile volume past the bitlines" {|{"workload": "w", "tile": [1048576, 1048576]}|}
+    "field tile: tile volume > 256 bitlines";
   err "zero timeout_s" {|{"workload": "w", "timeout_s": 0}|} "field timeout_s must be a positive number";
   err "negative timeout_s" {|{"workload": "w", "timeout_s": -3}|}
     "field timeout_s must be a positive number";
