@@ -570,6 +570,9 @@ let batch_cmd =
       (if jobs = 1 then "" else "s")
       elapsed hits misses entries
       (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
+    let hits, misses, evictions = E.plan_store_stats () in
+    Printf.eprintf "batch: plan store: %d hits / %d misses, %d evictions\n" hits misses
+      evictions;
     if !degraded > 0 then
       Printf.eprintf "batch: %d job%s degraded (structured, not counted as failures)\n"
         !degraded

@@ -16,6 +16,9 @@ type region = {
   hints : hints;
   opt_stats : Extract.opt_stats;
   fallback : string option;
+  live : Tdfg.id array;
+  ws_vars : string array;
+  dom_vars : string array;
 }
 
 type t = {
@@ -62,23 +65,84 @@ let empty_hints =
     aligned_arrays = [];
   }
 
+module Svars = Set.Make (String)
+
+let add_aff_vars acc a =
+  List.fold_left (fun acc v -> Svars.add v acc) acc (Symaff.vars a)
+
+(* Variables the workset resolution reads: host-loop bounds, symbolic
+   distinct extents, and — for streams whose footprint falls back to the
+   whole array — the array declaration's dimension expressions. *)
+let workset_vars prog (info : Kernel_info.t) =
+  let acc =
+    List.fold_left
+      (fun acc (lo, hi) -> add_aff_vars (add_aff_vars acc lo) hi)
+      Svars.empty info.loops
+  in
+  let acc =
+    List.fold_left
+      (fun acc (s : Kernel_info.stream) ->
+        match s.distinct with
+        | Some extents -> List.fold_left add_aff_vars acc extents
+        | None -> (
+          match
+            List.find_opt
+              (fun (a : Ast.array_decl) -> a.aname = s.array)
+              prog.Ast.arrays
+          with
+          | Some decl -> List.fold_left add_aff_vars acc decl.dims
+          | None -> acc))
+      acc info.streams
+  in
+  Array.of_list (Svars.elements acc)
+
+(* Variables a live finite-node domain reads — the inputs of both the
+   engine's domain resolution and the lattice shape its layout tiles. *)
+let domain_vars g live =
+  let acc =
+    Array.fold_left
+      (fun acc id ->
+        match Tdfg.domain g id with
+        | Tdfg.Finite r ->
+          List.fold_left
+            (fun acc (lo, hi) -> add_aff_vars (add_aff_vars acc lo) hi)
+            acc (Symrect.ranges r)
+        | Tdfg.Infinite -> acc)
+      Svars.empty live
+  in
+  Array.of_list (Svars.elements acc)
+
 let compile_region ~optimize ~extents prog (k : Ast.kernel) =
   let info = Kernel_info.analyze prog k in
   let sdfg = Sdfg.of_kernel prog k in
-  match Frontend.extract prog k with
-  | Error e ->
-    let g = Tdfg.create ~name:k.kname ~dims:1 ~dtype:Dtype.Fp32 in
+  let region ~initial ~optimized ~schedules ~hints ~opt_stats ~fallback =
+    (* only a region without a fallback can run in memory and needs its
+       live nodes; resolving their domains here also fills the graph's
+       domain memo before the graph is shared *)
+    let live =
+      if fallback = None then Array.of_list (Tdfg.live_nodes optimized) else [||]
+    in
     {
       kernel = k;
       sdfg;
-      initial = g;
-      optimized = g;
+      initial;
+      optimized;
       info;
-      schedules = [];
-      hints = empty_hints;
-      opt_stats = Extract.no_opt;
-      fallback = Some (Frontend.error_to_string e);
+      schedules;
+      hints;
+      opt_stats;
+      fallback;
+      live;
+      ws_vars = workset_vars prog info;
+      dom_vars = domain_vars optimized live;
     }
+  in
+  match Frontend.extract prog k with
+  | Error e ->
+    let g = Tdfg.create ~name:k.kname ~dims:1 ~dtype:Dtype.Fp32 in
+    region ~initial:g ~optimized:g ~schedules:[] ~hints:empty_hints
+      ~opt_stats:Extract.no_opt
+      ~fallback:(Some (Frontend.error_to_string e))
   | Ok initial ->
     let optimized, opt_stats =
       if optimize then Extract.optimize ~arrays:extents initial
@@ -121,17 +185,8 @@ let compile_region ~optimize ~extents prog (k : Ast.kernel) =
       if schedules = [] then Some "register spill on all SRAM geometries"
       else None
     in
-    {
-      kernel = k;
-      sdfg;
-      initial;
-      optimized;
-      info;
-      schedules;
-      hints = derive_hints optimized;
-      opt_stats;
-      fallback;
-    }
+    region ~initial ~optimized ~schedules ~hints:(derive_hints optimized)
+      ~opt_stats ~fallback
 
 let compile ?(optimize = true) prog =
   match Ast.validate prog with

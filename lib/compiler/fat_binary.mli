@@ -30,6 +30,17 @@ type region = {
   fallback : string option;
       (** populated when the kernel cannot be expressed as a tDFG; the
           region then only supports in-core / near-memory execution *)
+  live : Tdfg.id array;
+      (** live node ids of [optimized], ascending; empty for a fallback
+          region, which never runs in memory *)
+  ws_vars : string array;
+      (** the integer variables the runtime's workset resolution reads:
+          host-loop bounds, symbolic distinct extents, and the dimensions
+          of arrays whose footprint falls back to the whole array *)
+  dom_vars : string array;
+      (** the integer variables the domains of the [live] finite nodes
+          read — all that domain resolution and the layout's lattice shape
+          depend on besides the output arrays' dims *)
 }
 
 type t = {

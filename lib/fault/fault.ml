@@ -40,18 +40,22 @@ let to_string s =
     s.seed s.sram_flip s.noc_degrade s.noc_jitter s.dram_stall
     s.dram_stall_cycles s.watchdog s.max_retries
 
+(* The stated ranges. Every value must be finite and inside its range:
+   the caps keep a run's cycles finite and its retry loop short (each
+   retry re-runs a kernel attempt, and a job's domain is never
+   interrupted). *)
+let max_jitter = 4.0
+let max_stall_cycles = 8192.0
+let retries_cap = 4
+
 let parse str =
   let ( let* ) = Result.bind in
-  let prob key v =
+  let range key v ~lo ~hi =
     match float_of_string_opt v with
-    | Some f when f >= 0.0 && f <= 1.0 -> Ok f
-    | _ -> Error (Printf.sprintf "faults: %s must be a probability in [0,1], got %S" key v)
+    | Some f when Float.is_finite f && f >= lo && f <= hi -> Ok f
+    | _ -> Error (Printf.sprintf "faults: %s must be a finite number in [%g, %g], got %S" key lo hi v)
   in
-  let nonneg key v =
-    match float_of_string_opt v with
-    | Some f when f >= 0.0 -> Ok f
-    | _ -> Error (Printf.sprintf "faults: %s must be a non-negative number, got %S" key v)
-  in
+  let prob key v = range key v ~lo:0.0 ~hi:1.0 in
   let fields =
     String.split_on_char ',' str
     |> List.filter (fun f -> String.trim f <> "")
@@ -74,23 +78,25 @@ let parse str =
         | "noc" ->
             let* f = prob key v in
             Ok { acc with noc_degrade = f }
-        | "jitter" -> (
-            match float_of_string_opt v with
-            | Some f when f >= 1.0 -> Ok { acc with noc_jitter = f }
-            | _ -> Error (Printf.sprintf "faults: jitter must be >= 1, got %S" v))
+        | "jitter" ->
+            let* f = range key v ~lo:1.0 ~hi:max_jitter in
+            Ok { acc with noc_jitter = f }
         | "dram" ->
             let* f = prob key v in
             Ok { acc with dram_stall = f }
         | "stall" ->
-            let* f = nonneg key v in
+            let* f = range key v ~lo:0.0 ~hi:max_stall_cycles in
             Ok { acc with dram_stall_cycles = f }
         | "watchdog" ->
             let* f = prob key v in
             Ok { acc with watchdog = f }
         | "retries" -> (
             match int_of_string_opt v with
-            | Some n when n >= 0 -> Ok { acc with max_retries = n }
-            | _ -> Error (Printf.sprintf "faults: retries must be a non-negative integer, got %S" v))
+            | Some n when n >= 0 && n <= retries_cap -> Ok { acc with max_retries = n }
+            | _ ->
+                Error
+                  (Printf.sprintf "faults: retries must be an integer in [0, %d], got %S"
+                     retries_cap v))
         | _ -> Error (Printf.sprintf "faults: unknown key %S" key))
   in
   List.fold_left step (Ok none) fields

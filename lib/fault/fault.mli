@@ -53,8 +53,10 @@ val parse : string -> (spec, string) result
     ["seed=42,sram=2e-4,noc=0.05,jitter=2.0,dram=0.01,stall=4096,watchdog=0.05,retries=2"].
     Keys: [seed], [sram], [noc], [jitter], [dram], [stall], [watchdog],
     [retries]; omitted keys keep their {!none} defaults (jitter 2.0,
-    stall 2048, retries 2).  Probabilities must lie in [0, 1], [jitter]
-    must be >= 1, and [retries]/[stall] must be non-negative. *)
+    stall 2048, retries 2).  Every value must be finite and inside its
+    range: probabilities in [0, 1], [jitter] in [1, 4], [stall] in
+    [0, 8192] cycles, [retries] an integer in [0, 4].  The error names
+    the key and its range. *)
 
 val to_string : spec -> string
 (** Canonical round-trippable rendering (all keys, fixed order). *)

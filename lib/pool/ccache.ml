@@ -2,30 +2,86 @@ type 'v shard = { m : Mutex.t; tbl : (string, 'v) Hashtbl.t }
 
 type 'v t = {
   shards : 'v shard array;
+  capacity : int;
+  (* entries across all shards, plus slots reserved by in-flight stores *)
+  size : int Atomic.t;
+  evict_lock : Mutex.t;
   hit_count : int Atomic.t;
   miss_count : int Atomic.t;
+  evict_count : int Atomic.t;
 }
 
-let create ?(shards = 16) () =
+let create ?(shards = 16) ?(capacity = max_int) () =
   {
     shards =
       Array.init (max 1 shards) (fun _ ->
           { m = Mutex.create (); tbl = Hashtbl.create 16 });
+    capacity = max 1 capacity;
+    size = Atomic.make 0;
+    evict_lock = Mutex.create ();
     hit_count = Atomic.make 0;
     miss_count = Atomic.make 0;
+    evict_count = Atomic.make 0;
   }
 
-let shard_of t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
+(* The shard comes from the hash's high bits: a shard's Hashtbl picks
+   buckets by the low bits of the same hash, so sharding on those would
+   crowd each shard's keys into a fraction of its buckets. *)
+let shard_of t key = t.shards.((Hashtbl.hash key lsr 16) mod Array.length t.shards)
+
+let lookup s key = Mutex.protect s.m (fun () -> Hashtbl.find_opt s.tbl key)
+
+(* Drop every entry, one shard lock at a time; callers hold [evict_lock]. *)
+let clear t =
+  Array.iter
+    (fun s ->
+      Mutex.protect s.m (fun () ->
+          ignore (Atomic.fetch_and_add t.size (-Hashtbl.length s.tbl));
+          Hashtbl.reset s.tbl))
+    t.shards
+
+(* Two stores that find the table full at once evict it once: the second
+   sees room again. *)
+let evict t =
+  Mutex.protect t.evict_lock (fun () ->
+      if Atomic.get t.size >= t.capacity then begin
+        clear t;
+        Atomic.incr t.evict_count
+      end)
+
+(* Publish [v] unless [key] is already present (the first store wins) and
+   return the kept value. A slot is reserved before the insert, so the
+   table never holds more than [capacity] entries; a full table is
+   dropped whole and the store retried. *)
+let rec store t s key v =
+  let kept =
+    Mutex.protect s.m (fun () ->
+        match Hashtbl.find_opt s.tbl key with
+        | Some winner -> Some winner
+        | None ->
+          if Atomic.fetch_and_add t.size 1 < t.capacity then begin
+            Hashtbl.replace s.tbl key v;
+            Some v
+          end
+          else begin
+            Atomic.decr t.size;
+            None
+          end)
+  in
+  match kept with
+  | Some v -> v
+  | None ->
+    evict t;
+    store t s key v
 
 let find_opt t key =
-  let s = shard_of t key in
-  let r = Mutex.protect s.m (fun () -> Hashtbl.find_opt s.tbl key) in
+  let r = lookup (shard_of t key) key in
   Atomic.incr (if r = None then t.miss_count else t.hit_count);
   r
 
 let find_or_compute t ~key f =
   let s = shard_of t key in
-  match Mutex.protect s.m (fun () -> Hashtbl.find_opt s.tbl key) with
+  match lookup s key with
   | Some v ->
     Atomic.incr t.hit_count;
     (v, true)
@@ -33,16 +89,7 @@ let find_or_compute t ~key f =
     Atomic.incr t.miss_count;
     (* compute outside the lock: a long compile must not serialize the
        shard; on a same-key race the first store wins *)
-    let v = f () in
-    let v =
-      Mutex.protect s.m (fun () ->
-          match Hashtbl.find_opt s.tbl key with
-          | Some winner -> winner
-          | None ->
-            Hashtbl.replace s.tbl key v;
-            v)
-    in
-    (v, false)
+    (store t s key (f ()), false)
 
 (* Deterministic iteration: snapshot every shard under its lock, then fold
    in sorted-key order — callers persist cache contents and need stable
@@ -60,10 +107,7 @@ let fold f t init =
   in
   List.fold_left (fun acc (k, v) -> f k v acc) init entries
 
-let insert t ~key v =
-  let s = shard_of t key in
-  Mutex.protect s.m (fun () ->
-      if not (Hashtbl.mem s.tbl key) then Hashtbl.replace s.tbl key v)
+let insert t ~key v = ignore (store t (shard_of t key) key v)
 
 let length t =
   Array.fold_left
@@ -72,8 +116,10 @@ let length t =
 
 let hits t = Atomic.get t.hit_count
 let misses t = Atomic.get t.miss_count
+let evictions t = Atomic.get t.evict_count
 
 let reset t =
-  Array.iter (fun s -> Mutex.protect s.m (fun () -> Hashtbl.reset s.tbl)) t.shards;
+  Mutex.protect t.evict_lock (fun () -> clear t);
   Atomic.set t.hit_count 0;
-  Atomic.set t.miss_count 0
+  Atomic.set t.miss_count 0;
+  Atomic.set t.evict_count 0

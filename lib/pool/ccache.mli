@@ -1,21 +1,26 @@
-(** Domain-safe content-addressed memo cache.
+(** Domain-safe content-addressed memo table.
 
-    A ['v t] maps content-hash keys (any string; callers typically use
-    [Digest.to_hex]) to computed values across a sharded set of
-    mutex-guarded hash tables, with process-lifetime hit/miss counters.
-    It backs the engine's compile cache: batch jobs running on separate
-    domains share compiled fat binaries instead of recompiling the same
-    workload program per (paradigm, options) combination.
+    A ['v t] maps string keys (content hashes, or the rendered inputs of a
+    pure derivation) to computed values across a sharded set of
+    mutex-guarded hash tables, with hit/miss/eviction counters. It backs
+    the engine's compile cache (compiled programs shared by batch jobs on
+    separate domains), each compiled program's plan store, and the tuner's
+    memo.
 
     [find_or_compute] computes {e outside} the shard lock, so two domains
     racing on the same fresh key may both compute; the first store wins and
     both callers observe the winning value. Values must therefore be
-    safe to share (treated as immutable after construction). *)
+    safe to share (treated as immutable after construction).
+
+    A table created with a [capacity] never holds more entries than that:
+    a store that finds it full drops every entry (one eviction, counted)
+    and then stores. *)
 
 type 'v t
 
-val create : ?shards:int -> unit -> 'v t
-(** [shards] defaults to 16 and is clamped to at least 1. *)
+val create : ?shards:int -> ?capacity:int -> unit -> 'v t
+(** [shards] defaults to 16 and is clamped to at least 1; [capacity]
+    defaults to unbounded and is clamped to at least 1. *)
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v * bool
 (** [find_or_compute c ~key f] returns [(v, hit)] where [hit] reports
@@ -40,6 +45,9 @@ val fold : (string -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 val length : 'v t -> int
 val hits : 'v t -> int
 val misses : 'v t -> int
+
+val evictions : 'v t -> int
+(** How many times a full table was dropped. *)
 
 val reset : 'v t -> unit
 (** Drop every entry and zero the counters (tests). *)

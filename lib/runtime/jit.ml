@@ -313,8 +313,10 @@ let lower ?doms cfg g ~schedule ~layout ~env =
 
 (* Memoization *)
 
+type lowering = Command.t array * stats
+
 type memo = {
-  table : (string, Command.t array * stats) Hashtbl.t;
+  table : (string, lowering) Hashtbl.t;
   warm_regions : (string, unit) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -333,51 +335,16 @@ let region_of_key key =
   | Some i -> String.sub key 0 i
   | None -> key
 
-(* Cross-run cache of the raw lowering result. [lower] is a pure function
-   of the machine config, the scheduled graph and the resolved domains +
-   layout — which the memo [key] already encodes relative to a fixed
-   (g, cfg) pair, so the cache key adds physical identity of both. The
-   per-run memo above still decides hit/miss *charging* (first lookup in a
+(* The per-run memo decides the charge (the first lookup of a key in a
    run pays full [jit_cycles], later ones [memo_lookup_cycles]) and emits
-   the same trace events, so simulated cycles and traces are unchanged:
-   only the host-side re-lowering work is skipped when bench loops re-run
-   identical combos. Per-domain (DLS) to stay race-free under the batch
-   pool; bounded by reset. *)
-type global_entry = {
-  ge_g : Tdfg.t;
-  ge_cfg : Machine_config.t;
-  ge_cmds : Command.t array;
-  ge_stats : stats;
-}
-
-let global_cache : (string, global_entry list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let global_cache_max = 4096
-
-let lower_cached ?doms ~key cfg g ~schedule ~layout ~env =
-  let tbl = Domain.DLS.get global_cache in
-  let entries =
-    match Hashtbl.find tbl key with l -> l | exception Not_found -> []
-  in
-  let rec find = function
-    | e :: _ when e.ge_g == g && e.ge_cfg == cfg -> Some (e.ge_cmds, e.ge_stats)
-    | _ :: tl -> find tl
-    | [] -> None
-  in
-  match find entries with
-  | Some r -> r
-  | None ->
-    let cmds, st = lower ?doms cfg g ~schedule ~layout ~env in
-    if Hashtbl.length tbl >= global_cache_max then Hashtbl.reset tbl;
-    let entries =
-      match Hashtbl.find tbl key with l -> l | exception Not_found -> []
-    in
-    Hashtbl.replace tbl key
-      ({ ge_g = g; ge_cfg = cfg; ge_cmds = cmds; ge_stats = st } :: entries);
-    (cmds, st)
-
-let lower_memo ?(obs = Obs.null) ?doms memo ~key cfg g ~schedule ~layout ~env =
+   the trace events; [store] only saves the host-side work of lowering a
+   key that an earlier run of the same compiled program already lowered.
+   [lower] is a pure function of the machine config, the scheduled graph
+   and the resolved domains + layout, which [key] encodes for a fixed
+   region and config, so simulated cycles and traces do not depend on
+   what the store holds. *)
+let lower_memo ?(obs = Obs.null) ?doms memo ~store ~key cfg g ~schedule ~layout
+    ~env =
   match Hashtbl.find_opt memo.table key with
   | Some (cmds, st) ->
     memo.hits <- memo.hits + 1;
@@ -390,7 +357,10 @@ let lower_memo ?(obs = Obs.null) ?doms memo ~key cfg g ~schedule ~layout ~env =
       Obs.emit obs (Trace.Memo { key; hit = false });
       Obs.emit obs (Trace.Jit_span { dir = Trace.Enter; region; commands = 0; cycles = 0.0 })
     end;
-    let cmds, st = lower_cached ?doms ~key cfg g ~schedule ~layout ~env in
+    let (cmds, st), _ =
+      Ccache.find_or_compute store ~key (fun () ->
+          lower ?doms cfg g ~schedule ~layout ~env)
+    in
     let st =
       if Hashtbl.mem memo.warm_regions region then
         {

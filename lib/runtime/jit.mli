@@ -45,23 +45,30 @@ type memo
 
 val memo_create : unit -> memo
 
+type lowering = Command.t array * stats
+
 val lower_memo :
   ?obs:Obs.t ->
   ?doms:Hyperrect.t option array ->
   memo ->
+  store:lowering Ccache.t ->
   key:string ->
   Machine_config.t ->
   Tdfg.t ->
   schedule:Schedule.t ->
   layout:Layout.t ->
   env:(string -> int) ->
-  Command.t array * stats
+  lowering
 (** Like {!lower} but reuses the command array when the same [key] (region
-    name + resolved parameters + layout) was lowered before; memoized hits
-    charge only a small lookup cost and set [memoized]. Emits a [Memo]
-    event per lookup and an [Enter]/[Exit] [Jit_span] pair around each
-    actual lowering through [obs] (default {!Obs.null}), which folds them
-    into the memo and lowering series. *)
+    name + resolved parameters + layout) was lowered before in this run;
+    memoized hits charge only a small lookup cost and set [memoized].
+    Emits a [Memo] event per lookup and an [Enter]/[Exit] [Jit_span] pair
+    around each actual lowering through [obs] (default {!Obs.null}),
+    which folds them into the memo and lowering series. A lowering the
+    run has not seen is taken from [store] — the compiled program's
+    lowering table, shared across runs and domains, keyed by [key] — and
+    lowered and published there on a miss. The run's charges and events
+    are the same whatever [store] holds. *)
 
 val memo_hits : memo -> int
 val memo_misses : memo -> int

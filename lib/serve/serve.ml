@@ -296,8 +296,8 @@ let request_timeout t j =
   | None -> Ok t.cfg.default_timeout_s
   | Some v -> (
     match Json.to_num v with
-    | Some f when f > 0.0 -> Ok (Some f)
-    | _ -> Error "field timeout_s must be a positive number")
+    | Some f when Float.is_finite f && f > 0.0 -> Ok (Some f)
+    | _ -> Error "field timeout_s must be a finite positive number")
 
 (* [line] is [None] for an over-long line *)
 let handle_line t ops conn seq line =

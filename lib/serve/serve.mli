@@ -34,9 +34,9 @@
     the depth in use, and its ["tenant"] holds fewer than
     [config.tenant_quota] unanswered requests. Otherwise it is {e shed}
     immediately with [{"id":..,"status":"overloaded"}]. A request's
-    deadline is its ["timeout_s"] field (a positive number; anything else
-    is a bad request) or [config.default_timeout_s]; the {!local} handler
-    answers [{"id":..,"status":"timeout"}] past it.
+    deadline is its ["timeout_s"] field (a finite positive number;
+    anything else is a bad request) or [config.default_timeout_s]; the
+    {!local} handler answers [{"id":..,"status":"timeout"}] past it.
 
     {2 Graceful drain}
 

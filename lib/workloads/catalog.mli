@@ -31,4 +31,5 @@ val names : scale -> string list
 (** The names of {!by_name}, sorted. *)
 
 val find : scale -> string -> (Infinity_stream.Workload.t, string) result
-(** A fresh workload by name; the error lists {!names}. *)
+(** A fresh workload by name, equal to its {!by_name} entry; only that
+    workload is built. The error lists {!names}. *)

@@ -97,8 +97,8 @@ let of_json j =
       | None -> Ok None
       | Some v -> (
         match Json.to_num v with
-        | Some f when f > 0.0 -> Ok (Some f)
-        | _ -> Error "field timeout_s must be a positive number")
+        | Some f when Float.is_finite f && f > 0.0 -> Ok (Some f)
+        | _ -> Error "field timeout_s must be a finite positive number")
     in
     let* faults =
       match Json.member "faults" j with

@@ -21,7 +21,7 @@ type t = {
   policy : Decision.policy;
       (** field ["eq2"]: one override for every kernel, or an object of
           per-kernel overrides with ["*"] as the default *)
-  timeout_s : float option;  (** positive wall-clock deadline *)
+  timeout_s : float option;  (** finite, positive wall-clock deadline *)
   faults : Fault.spec option;  (** [None]: the caller-wide fault spec *)
 }
 
@@ -33,7 +33,7 @@ val of_json : Json.t -> (t, string) result
     ["spec needs a \"workload\" string field"],
     ["field functional must be a boolean"],
     ["field tile must be an array of integers"], ["field tile: ..."],
-    ["field timeout_s must be a positive number"],
+    ["field timeout_s must be a finite positive number"],
     ["field eq2: ..."], ["field eq2 must be a string or an object"],
     ["field faults must be a spec string"], ["field faults: ..."]. *)
 

@@ -46,7 +46,18 @@ let test_parse () =
       match Fault.parse bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ "sram=2"; "noc=-0.5"; "jitter=0.5"; "retries=-1"; "seed=x"; "bogus=1"; "sram" ]
+    [
+      "sram=2"; "noc=-0.5"; "jitter=0.5"; "retries=-1"; "seed=x"; "bogus=1"; "sram";
+      (* non-finite or out of the stated ranges *)
+      "seed=1,stall=inf,dram=1"; "seed=1,noc=1,jitter=1e308"; "jitter=inf"; "jitter=nan";
+      "sram=nan"; "stall=-inf"; "stall=8193"; "jitter=4.5"; "retries=5";
+      "retries=100000000";
+    ];
+  (match Fault.parse "seed=1,jitter=1e308" with
+  | Error e ->
+    Alcotest.(check string) "the error names the key and the range"
+      {|faults: jitter must be a finite number in [1, 4], got "1e308"|} e
+  | Ok _ -> Alcotest.fail "accepted jitter=1e308")
 
 let test_injector_streams () =
   let sp = spec_of_string "seed=5,sram=0.5,noc=0.5,dram=0.5,watchdog=0.5" in
@@ -387,6 +398,23 @@ let test_golden_fault_analyze () =
       i g w
   end
 
+(* Every key at the top of its range still yields finite cycles: faults
+   on every attempt, the most retries, the longest stall, the largest
+   slowdown. *)
+let test_range_maxima_finite () =
+  let sp = spec_of_string "seed=1,sram=1,noc=1,jitter=4,dram=1,stall=8192,watchdog=1,retries=4" in
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun p ->
+          let r =
+            E.run_exn ~options:{ E.default_options with faults = sp; share_compile = true } p w
+          in
+          if not (Float.is_finite r.R.cycles) then
+            Alcotest.failf "%s [%s]: cycles %h" name (E.paradigm_to_string p) r.R.cycles)
+        [ E.Near_l3; E.In_l3; E.Inf_s ])
+    (Cat.all_variants (Cat.test_scale ()))
+
 let suite =
   [
     ("spec parse / canonical print", `Quick, test_parse);
@@ -399,4 +427,5 @@ let suite =
     ("golden fault trace", `Quick, test_golden_fault_trace);
     ("golden fault analyze report", `Quick, test_golden_fault_analyze);
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_differential_oracle;
+    ("range maxima keep cycles finite", `Quick, test_range_maxima_finite);
   ]

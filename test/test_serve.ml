@@ -151,10 +151,15 @@ let test_deadline_answers_timeout () =
         Alcotest.(check string) "invalid timeout_s is a structured error"
           "error"
           (status (response (input_line ic)));
+        (* 1e999 decodes to +inf: no deadline at all, so refused too *)
+        send oc {|{"id": 2, "timeout_s": 1e999}|};
+        Alcotest.(check string) "infinite timeout_s is a structured error"
+          "error"
+          (status (response (input_line ic)));
         Unix.close fd)
   in
   Alcotest.(check int) "stats: 1 deadline exceeded" 1 st.Serve.deadline_exceeded;
-  Alcotest.(check int) "stats: 1 bad request" 1 st.Serve.bad
+  Alcotest.(check int) "stats: 2 bad requests" 2 st.Serve.bad
 
 let test_drain_answers_admitted () =
   (* requests in flight when the stop arrives are still answered *)

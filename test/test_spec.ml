@@ -77,11 +77,17 @@ let test_field_errors () =
     "field tile: tile volume 15 != 256 bitlines";
   err "tile volume past the bitlines" {|{"workload": "w", "tile": [1048576, 1048576]}|}
     "field tile: tile volume > 256 bitlines";
-  err "zero timeout_s" {|{"workload": "w", "timeout_s": 0}|} "field timeout_s must be a positive number";
+  err "zero timeout_s" {|{"workload": "w", "timeout_s": 0}|}
+    "field timeout_s must be a finite positive number";
   err "negative timeout_s" {|{"workload": "w", "timeout_s": -3}|}
-    "field timeout_s must be a positive number";
+    "field timeout_s must be a finite positive number";
   err "string timeout_s" {|{"workload": "w", "timeout_s": "5"}|}
-    "field timeout_s must be a positive number";
+    "field timeout_s must be a finite positive number";
+  (* 1e999 overflows to +inf when decoded *)
+  err "infinite timeout_s" {|{"workload": "w", "timeout_s": 1e999}|}
+    "field timeout_s must be a finite positive number";
+  err "negative infinite timeout_s" {|{"workload": "w", "timeout_s": -1e999}|}
+    "field timeout_s must be a finite positive number";
   starts "bad eq2 string" {|{"workload": "w", "eq2": "fast"}|} "field eq2: unknown eq2 override fast";
   starts "bad eq2 object value" {|{"workload": "w", "eq2": {"k": "fast"}}|}
     "field eq2: unknown eq2 override fast";

@@ -203,6 +203,31 @@ let test_histogram_stays_off_srams () =
   Alcotest.(check (Alcotest.float 0.01)) "no in-memory ops" 0.0
     r.Infinity_stream.Report.in_mem_op_fraction
 
+(* [find] builds only the named workload, yet must return exactly the
+   [by_name] entry, and a fresh value per call (concurrent runs must never
+   share lazy inputs). *)
+let test_find_matches_by_name () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (name, (want : W.t)) ->
+          match (Cat.find scale name, Cat.find scale name) with
+          | Ok a, Ok b ->
+            Alcotest.(check string) "name" want.wname a.W.wname;
+            Alcotest.(check (list (pair string int))) (name ^ " params") want.params a.params;
+            Alcotest.(check string) (name ^ " program")
+              (Format.asprintf "%a" Ast.pp_program want.prog)
+              (Format.asprintf "%a" Ast.pp_program a.prog);
+            Alcotest.(check bool) (name ^ ": fresh per call") true (a != b && a.inputs != b.inputs)
+          | Error e, _ | _, Error e -> Alcotest.fail e)
+        (Cat.by_name scale))
+    [ `Paper; `Test ];
+  match Cat.find `Test "nope" with
+  | Ok _ -> Alcotest.fail "found an unknown workload"
+  | Error e ->
+    Alcotest.(check bool) "the error lists the names" true
+      (String.starts_with ~prefix:"unknown workload nope; available: array_sum, " e)
+
 let suite =
   [
     ("catalog covers Table 3", `Quick, test_catalog_covers_table3);
@@ -215,4 +240,5 @@ let suite =
     ("extras functional", `Quick, test_extras_functional);
     ("bitscan int latency", `Quick, test_bitscan_int_latency);
     ("histogram stays near-memory", `Quick, test_histogram_stays_off_srams);
+    ("find builds the by_name entry", `Quick, test_find_matches_by_name);
   ]
