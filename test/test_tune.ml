@@ -4,7 +4,9 @@
    - the winner is never worse than the Eq. 2 / layout-heuristic baseline,
    - JSON round-trips (report line and the persisted cache file),
    - a qcheck property: runs under a tuned decision policy stay
-     functionally bit-exact (max-err 0.0) across paradigms and overrides. *)
+     functionally bit-exact (max-err 0.0) across paradigms and overrides,
+   - a search compiles once and leaves the process-wide compile cache
+     untouched. *)
 
 module T = Infs_tune.Tune
 module E = Infinity_stream.Engine
@@ -155,6 +157,17 @@ let test_tuned_winner_checked_zero () =
   Alcotest.(check (float 0.0)) "heuristic run max-err" 0.0
     (checked_err E.Inf_s Decision.Heuristic (vec_add ()))
 
+(* A search compiles its program once and scores every candidate on that
+   compile: the process-wide compile cache (and so every long-lived plan
+   store) is never touched, and the plans die with the search. *)
+let test_one_compile_per_search () =
+  E.compile_cache_clear ();
+  T.cache_clear ();
+  ignore (tune_exn ~budget:16 ~jobs:2 stencil);
+  let hits, misses, entries = E.compile_cache_stats () in
+  Alcotest.(check (list int)) "compile cache hits, misses, entries" [ 0; 0; 0 ]
+    [ hits; misses; entries ]
+
 let suite =
   [
     ("tune: jobs:4 byte-identical to jobs:1", `Quick, test_jobs_byte_identity);
@@ -164,4 +177,5 @@ let suite =
     ("tune: cache file round-trip", `Quick, test_cache_file_roundtrip);
     ("tune: winner run stays Checked 0.0", `Quick, test_tuned_winner_checked_zero);
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_tuned_run_bit_exact;
+    ("tune: one compile per search, compile cache untouched", `Quick, test_one_compile_per_search);
   ]
