@@ -19,12 +19,14 @@ type region = {
   live : Tdfg.id array;
   ws_vars : string array;
   dom_vars : string array;
+  ops : (Op.t * int) list;
 }
 
 type t = {
   prog : Ast.program;
   regions : region list;
   extents : (string * Symaff.t list) list;
+  by_name : (string, region) Hashtbl.t;
 }
 
 let sram_geometries = [ 256; 512 ]
@@ -135,6 +137,7 @@ let compile_region ~optimize ~extents prog (k : Ast.kernel) =
       live;
       ws_vars = workset_vars prog info;
       dom_vars = domain_vars optimized live;
+      ops = Tdfg.op_multiset optimized;
     }
   in
   match Frontend.extract prog k with
@@ -196,7 +199,12 @@ let compile ?(optimize = true) prog =
     let regions =
       List.map (compile_region ~optimize ~extents prog) (Ast.kernels prog)
     in
-    Ok { prog; regions; extents }
+    let by_name = Hashtbl.create (List.length regions) in
+    List.iter
+      (fun r ->
+        if not (Hashtbl.mem by_name r.kernel.Ast.kname) then
+          Hashtbl.add by_name r.kernel.Ast.kname r)
+      regions;
+    Ok { prog; regions; extents; by_name }
 
-let region_of t name =
-  List.find_opt (fun r -> r.kernel.Ast.kname = name) t.regions
+let region_of t name = Hashtbl.find_opt t.by_name name

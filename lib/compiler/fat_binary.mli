@@ -41,12 +41,19 @@ type region = {
       (** the integer variables the domains of the [live] finite nodes
           read — all that domain resolution and the layout's lattice shape
           depend on besides the output arrays' dims *)
+  ops : (Op.t * int) list;
+      (** Eq. 2's operand multiset: each op of the live [Cmp] and [Reduce]
+          nodes of [optimized] with its count, as [Tdfg.op_multiset] *)
 }
 
 type t = {
   prog : Ast.program;
   regions : region list;  (** in syntactic order, one per kernel *)
   extents : (string * Symaff.t list) list;
+  by_name : (string, region) Hashtbl.t;
+      (** the first region of each kernel name (a name recurs only for a
+          verbatim repeat of its kernel, see [Ast.validate]); filled by
+          [compile], read-only after *)
 }
 
 val sram_geometries : int list
@@ -59,6 +66,6 @@ val compile : ?optimize:bool -> Ast.program -> (t, string) result
     than failing the build. *)
 
 val region_of : t -> string -> region option
-(** Find a region by kernel name. *)
+(** Find a region by kernel name, in O(1). *)
 
 val derive_hints : Tdfg.t -> hints

@@ -292,14 +292,29 @@ end
 (* Per-kernel §4.3 verdict aggregation for the report's [decisions] table:
    the first invocation's latencies/reason plus per-target invocation
    counts (a kernel can land on different sides across host-loop
-   iterations or fault retries). *)
+   iterations or fault retries), kept sorted by target and counted in
+   place. *)
+type verdict_count = { v_target : string; mutable v_n : int }
+
 type decision_acc = {
   d_target : string;
   d_core : float;
   d_imc : float;
   d_reason : string;
-  mutable d_counts : (string * int) list;
+  mutable d_counts : verdict_count list;
 }
+
+(* Per kernel, cycles accumulated per execution target, updated in place:
+   an all-float record, so an update does not box. [wheres] lists the
+   targets seen, the most recently added first — the order in which the
+   report picks the dominant target and sums the cycles. *)
+type where_cycles = {
+  mutable on_core : float;
+  mutable near_mem : float;
+  mutable in_mem : float;
+}
+
+type timeline_acc = { cycles : where_cycles; mutable wheres : Report.where list }
 
 type state = {
   opts : options;
@@ -319,7 +334,7 @@ type state = {
      run and kept for the rest of it *)
   layouts : (string, (Layout.t * string, string) result) Hashtbl.t;
   residency : Residency.t;
-  timeline : (string, (Report.where * float) list) Hashtbl.t;
+  timeline : (string, timeline_acc) Hashtbl.t;
   mutable timeline_order : string list;
   mutable in_mem_elems : float;
   mutable other_elems : float;
@@ -380,31 +395,40 @@ let note_timeline st kname where cycles =
     Obs.emit st.obs
       (Trace.Region_exec
          { kernel = kname; where = Report.where_to_string where; cycles });
-  if not (Hashtbl.mem st.timeline kname) then
-    st.timeline_order <- st.timeline_order @ [ kname ];
-  let prev = Option.value ~default:[] (Hashtbl.find_opt st.timeline kname) in
-  let prev =
-    if List.mem_assoc where prev then
-      List.map
-        (fun (w, c) -> if w = where then (w, c +. cycles) else (w, c))
-        prev
-    else (where, cycles) :: prev
+  let acc =
+    match Hashtbl.find st.timeline kname with
+    | acc -> acc
+    | exception Not_found ->
+      let acc =
+        { cycles = { on_core = 0.0; near_mem = 0.0; in_mem = 0.0 }; wheres = [] }
+      in
+      Hashtbl.replace st.timeline kname acc;
+      st.timeline_order <- st.timeline_order @ [ kname ];
+      acc
   in
-  Hashtbl.replace st.timeline kname prev
+  if not (List.mem where acc.wheres) then acc.wheres <- where :: acc.wheres;
+  let c = acc.cycles in
+  match where with
+  | Report.On_core -> c.on_core <- c.on_core +. cycles
+  | Report.Near_mem -> c.near_mem <- c.near_mem +. cycles
+  | Report.In_mem -> c.in_mem <- c.in_mem +. cycles
+
+let where_cycles c = function
+  | Report.On_core -> c.on_core
+  | Report.Near_mem -> c.near_mem
+  | Report.In_mem -> c.in_mem
 
 let note_decision_raw st kname ~target ~core_cycles ~imc_cycles ~reason =
-  match Hashtbl.find_opt st.decisions kname with
-  | Some acc ->
-    acc.d_counts <-
-      (if List.mem_assoc target acc.d_counts then
-         List.map
-           (fun (t, n) -> if t = target then (t, n + 1) else (t, n))
-           acc.d_counts
-       else
-         List.sort
-           (fun (a, _) (b, _) -> compare a b)
-           ((target, 1) :: acc.d_counts))
-  | None ->
+  match Hashtbl.find st.decisions kname with
+  | acc -> (
+    match List.find_opt (fun c -> c.v_target = target) acc.d_counts with
+    | Some c -> c.v_n <- c.v_n + 1
+    | None ->
+      acc.d_counts <-
+        List.sort
+          (fun a b -> compare a.v_target b.v_target)
+          ({ v_target = target; v_n = 1 } :: acc.d_counts))
+  | exception Not_found ->
     st.decisions_order <- st.decisions_order @ [ kname ];
     Hashtbl.replace st.decisions kname
       {
@@ -412,7 +436,7 @@ let note_decision_raw st kname ~target ~core_cycles ~imc_cycles ~reason =
         d_core = core_cycles;
         d_imc = imc_cycles;
         d_reason = reason;
-        d_counts = [ (target, 1) ];
+        d_counts = [ { v_target = target; v_n = 1 } ];
       }
 
 let note_decision st kname (v : Decision.verdict) =
@@ -913,8 +937,7 @@ let on_kernel st _env (k : Ast.kernel) =
                only caller of [Decision.decide] in the engine *)
             Prof.span (profv st) "decide" (fun () ->
                 Decision.decide ~obs:st.obs ~kernel:k.Ast.kname
-                  ~override:ov (cfgv st)
-                  ~ops:(Tdfg.op_multiset g)
+                  ~override:ov (cfgv st) ~ops:region.ops
                   ~node_count:(Tdfg.node_count g) ~dtype:(Tdfg.dtype g) ~elems
                   ~flops:w.Workset.flops
                   ~data_bytes:(Workset.touched_bytes w) ~fits:true
@@ -1100,7 +1123,10 @@ let run_with obs options paradigm (w : Workload.t) compiled =
              timeline =
                List.map
                  (fun k ->
-                   let parts = Hashtbl.find st.timeline k in
+                   let acc = Hashtbl.find st.timeline k in
+                   let parts =
+                     List.map (fun w -> (w, where_cycles acc.cycles w)) acc.wheres
+                   in
                    let where, _ =
                      List.fold_left
                        (fun (bw, bc) (w, c) -> if c > bc then (w, c) else (bw, bc))
@@ -1124,7 +1150,7 @@ let run_with obs options paradigm (w : Workload.t) compiled =
                      core_cycles = acc.d_core;
                      imc_cycles = acc.d_imc;
                      reason = acc.d_reason;
-                     verdicts = acc.d_counts;
+                     verdicts = List.map (fun c -> (c.v_target, c.v_n)) acc.d_counts;
                    })
                  st.decisions_order;
              faults =

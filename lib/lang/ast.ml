@@ -208,6 +208,17 @@ let validate p =
       let* () = check_kernel ~ivars ~scalars k in
       check_stmt ~ivars ~scalars rest
   in
+  (* the runtime finds a region, its plans and its JIT memo entries by
+     kernel name: a name may recur for the same kernel (a repeated sweep
+     is one region), never for two different ones *)
+  let rec unique_kernels seen = function
+    | [] -> Ok ()
+    | k :: rest -> (
+      match List.assoc_opt k.kname seen with
+      | Some k0 when compare k0 k <> 0 -> err "duplicate kernel name %s" k.kname
+      | Some _ -> unique_kernels seen rest
+      | None -> unique_kernels ((k.kname, k) :: seen) rest)
+  in
   let* () =
     List.fold_left
       (fun acc (a : array_decl) ->
@@ -217,6 +228,7 @@ let validate p =
           (Ok ()) a.dims)
       (Ok ()) p.arrays
   in
+  let* () = unique_kernels [] (kernels p) in
   check_stmt ~ivars:Sset.empty ~scalars:Sset.empty p.body
 
 (* Pretty-printing *)

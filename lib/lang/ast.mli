@@ -110,7 +110,8 @@ val kernel_has_indirect : kernel -> bool
 
 val validate : program -> (unit, string) result
 (** Check that every array/scalar/parameter reference is declared, index
-    arities match array ranks, and kernel loop variables are distinct. *)
+    arities match array ranks, kernel loop variables are distinct, and no
+    two different kernels share a name (a kernel may recur verbatim). *)
 
 val pp_program : Format.formatter -> program -> unit
 (** Readable C-like rendering (for docs and debugging). *)

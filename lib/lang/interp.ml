@@ -1,9 +1,11 @@
 let fp32 = Dense.fp32
 
-(* [data] is allocated lazily on first access: performance-only runs
-   (functional = false) never read or write array contents, and zeroing
-   every declared array dominates [create] for large workloads. Arrays
-   observable through any accessor start zeroed exactly as before. *)
+(* [data] is allocated on the first write; until then it is empty and
+   every read of the array returns 0.0. A performance-only run (functional
+   = false) writes no array, yet host code such as a pivot step still
+   reads cells into scalars: zero-filling a paper-scale matrix for that
+   read dominated the whole run. Arrays observable through any accessor
+   start zeroed exactly as before. *)
 type array_store = { dims : int list; size : int; mutable data : float array }
 
 type env = {
@@ -64,6 +66,7 @@ let create prog ~params =
       match !bad with Some e -> Error e | None -> Ok env
     end
 
+(* The array's storage, allocated (zeroed) for a write. *)
 let data_of (a : array_store) =
   if Array.length a.data = 0 && a.size > 0 then a.data <- Array.make a.size 0.0;
   a.data
@@ -81,7 +84,10 @@ let set_array env name data =
          (Array.length data) a.size);
   Array.blit (Array.map fp32 data) 0 (data_of a) 0 (Array.length data)
 
-let get_array env name = Array.copy (data_of (find_array env name))
+let get_array env name =
+  let a = find_array env name in
+  if Array.length a.data = 0 then Array.make a.size 0.0 else Array.copy a.data
+
 let array_dims env name = (find_array env name).dims
 
 let flat_index ~aname dims idxs =
@@ -97,19 +103,22 @@ let flat_index ~aname dims idxs =
   in
   go 0 dims idxs
 
+(* A read: bounds-checked like a write, but an unwritten array reads 0.0
+   without being allocated. *)
+let read (a : array_store) ~aname idxs =
+  let i = flat_index ~aname a.dims idxs in
+  if Array.length a.data = 0 then 0.0 else a.data.(i)
+
 let rec eval_index env = function
   | Ast.Aff a -> eval_saff env a
   | Ast.Indirect { array; indices } ->
     let st = find_array env array in
-    let idxs = List.map (eval_saff env) indices in
-    let v = (data_of st).(flat_index ~aname:array st.dims idxs) in
-    int_of_float v
+    int_of_float (read st ~aname:array (List.map (eval_saff env) indices))
 
 and eval_expr env = function
   | Ast.Load { array; indices } ->
     let st = find_array env array in
-    let idxs = List.map (eval_index env) indices in
-    (data_of st).(flat_index ~aname:array st.dims idxs)
+    read st ~aname:array (List.map (eval_index env) indices)
   | Ast.Float_const f -> fp32 f
   | Ast.Scalar s -> (
     match Hashtbl.find_opt env.scalars s with
@@ -183,9 +192,7 @@ let get_scalar env s =
   | Some v -> v
   | None -> failwith (Printf.sprintf "Interp: unbound scalar %s" s)
 
-let read_cell env name idxs =
-  let a = find_array env name in
-  (data_of a).(flat_index ~aname:name a.dims idxs)
+let read_cell env name idxs = read (find_array env name) ~aname:name idxs
 
 let write_cell env name idxs v =
   let a = find_array env name in

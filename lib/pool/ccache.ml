@@ -1,4 +1,12 @@
-type 'v shard = { m : Mutex.t; tbl : (string, 'v) Hashtbl.t }
+(* [pending] holds the keys some caller is computing; callers that miss
+   one of them sleep on [computed] until the computing caller publishes
+   its value or gives up. *)
+type 'v shard = {
+  m : Mutex.t;
+  tbl : (string, 'v) Hashtbl.t;
+  pending : (string, unit) Hashtbl.t;
+  computed : Condition.t;
+}
 
 type 'v t = {
   shards : 'v shard array;
@@ -15,7 +23,12 @@ let create ?(shards = 16) ?(capacity = max_int) () =
   {
     shards =
       Array.init (max 1 shards) (fun _ ->
-          { m = Mutex.create (); tbl = Hashtbl.create 16 });
+          {
+            m = Mutex.create ();
+            tbl = Hashtbl.create 16;
+            pending = Hashtbl.create 4;
+            computed = Condition.create ();
+          });
     capacity = max 1 capacity;
     size = Atomic.make 0;
     evict_lock = Mutex.create ();
@@ -79,17 +92,43 @@ let find_opt t key =
   Atomic.incr (if r = None then t.miss_count else t.hit_count);
   r
 
+(* Under the shard lock: the stored value, waiting for it while another
+   caller computes [key]; otherwise [None], and the caller has claimed
+   [key]. A hit costs what [lookup] costs. *)
+let rec find_or_claim s key =
+  match Hashtbl.find_opt s.tbl key with
+  | Some v -> Some v
+  | None when Hashtbl.mem s.pending key ->
+    Condition.wait s.computed s.m;
+    find_or_claim s key
+  | None ->
+    Hashtbl.replace s.pending key ();
+    None
+
+let release s key =
+  Mutex.protect s.m (fun () ->
+      Hashtbl.remove s.pending key;
+      Condition.broadcast s.computed)
+
 let find_or_compute t ~key f =
   let s = shard_of t key in
-  match lookup s key with
+  match Mutex.protect s.m (fun () -> find_or_claim s key) with
   | Some v ->
     Atomic.incr t.hit_count;
     (v, true)
-  | None ->
+  | None -> (
     Atomic.incr t.miss_count;
     (* compute outside the lock: a long compile must not serialize the
-       shard; on a same-key race the first store wins *)
-    (store t s key (f ()), false)
+       shard, only the callers that want the same key *)
+    match f () with
+    | v ->
+      let v = store t s key v in
+      release s key;
+      (v, false)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release s key;
+      Printexc.raise_with_backtrace e bt)
 
 (* Deterministic iteration: snapshot every shard under its lock, then fold
    in sorted-key order — callers persist cache contents and need stable

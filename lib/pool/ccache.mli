@@ -7,10 +7,10 @@
     separate domains), each compiled program's plan store, and the tuner's
     memo.
 
-    [find_or_compute] computes {e outside} the shard lock, so two domains
-    racing on the same fresh key may both compute; the first store wins and
-    both callers observe the winning value. Values must therefore be
-    safe to share (treated as immutable after construction).
+    [find_or_compute] computes {e outside} the shard lock, once per key:
+    a caller that misses a key another caller is computing waits for that
+    value instead of computing it again. Values must be safe to share
+    (treated as immutable after construction).
 
     A table created with a [capacity] never holds more entries than that:
     a store that finds it full drops every entry (one eviction, counted)
@@ -24,8 +24,11 @@ val create : ?shards:int -> ?capacity:int -> unit -> 'v t
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v * bool
 (** [find_or_compute c ~key f] returns [(v, hit)] where [hit] reports
-    whether [key] was already present. Exceptions from [f] propagate and
-    cache nothing. *)
+    whether [key] was already present or being computed — a caller that
+    waited for another's compute counts as a hit. Exceptions from [f]
+    propagate and cache nothing; callers waiting on that compute wake and
+    one of them computes. The hit path takes the shard lock once. [f] must
+    not look [key] up in [c] itself: it would wait for its own result. *)
 
 val find_opt : 'v t -> string -> 'v option
 (** Pure lookup; counts as a hit or a miss. *)

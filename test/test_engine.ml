@@ -293,6 +293,70 @@ let test_in_dram_substrate () =
   | `Checked err -> Alcotest.(check bool) "correct on DRAM substrate" true (err = 0.0)
   | `Skipped -> Alcotest.fail "expected check"
 
+(* Regions, plans and JIT memo entries are keyed on the kernel name, so a
+   program with two kernels of one name is refused rather than run with
+   the first kernel's plan for both. *)
+let test_run_rejects_duplicate_kernel_names () =
+  let open Ast in
+  let n = Symaff.var "N" in
+  let prog =
+    program ~name:"dup" ~params:[ "N" ]
+      ~arrays:
+        [
+          array "A" Dtype.Fp32 [ n ]; array "B" Dtype.Fp32 [ n ]; array "C" Dtype.Fp32 [ n; n ];
+        ]
+      [
+        Kernel
+          (kernel "k"
+             [ loop "i" (c 0) n ]
+             [ store "B" [ i "i" ] (load "A" [ i "i" ] * load "A" [ i "i" ]) ]);
+        Kernel
+          (kernel "k"
+             [ loop "i" (c 0) n; loop "j" (c 0) n ]
+             [ accum Op.Add "C" [ i "i"; i "j" ] (load "B" [ i "j" ]) ]);
+      ]
+  in
+  let w = W.make ~name:"dup" ~params:[ ("N", 64) ] ~inputs:(lazy []) prog in
+  List.iter
+    (fun p ->
+      Alcotest.(check (result reject string))
+        (E.paradigm_to_string p ^ " refuses the program")
+        (Error "program dup: duplicate kernel name k") (E.run p w))
+    [ E.Base; E.Inf_s ]
+
+(* A performance-only run writes no array, so it allocates no array data:
+   host reads of unwritten cells (gauss_elim's pivot A[k][k]) read zero.
+   Large blocks go straight to the major heap, so the count to hold at zero
+   is major minus promoted words; on one domain it is exact. One run per
+   paradigm first creates the domain's command-cost memo, which is large
+   enough to go there too. *)
+let test_perf_runs_allocate_no_arrays () =
+  let w, program =
+    match Cat.find `Test "gauss_elim" with
+    | Error e -> Alcotest.fail e
+    | Ok w -> (
+      match E.compile_program E.default_options w with
+      | Ok p -> (w, p)
+      | Error e -> Alcotest.fail e)
+  in
+  let run p =
+    match E.run_program program p w with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let paradigms = [ E.Base; E.Near_l3; E.In_l3; E.Inf_s ] in
+  List.iter run paradigms;
+  List.iter
+    (fun p ->
+      let _, promoted0, major0 = Gc.counters () in
+      run p;
+      let _, promoted1, major1 = Gc.counters () in
+      Alcotest.(check (float 0.0))
+        (E.paradigm_to_string p ^ ": words allocated directly in the major heap")
+        0.0
+        (major1 -. major0 -. (promoted1 -. promoted0)))
+    paradigms
+
 let suite =
   correctness_tests
   @ [
@@ -312,4 +376,6 @@ let suite =
       ("LOT capacity respected", `Quick, test_lot_capacity);
       ("portability: 512x512 machine", `Quick, test_portability_512);
       ("in-DRAM substrate sketch", `Quick, test_in_dram_substrate);
+      ("duplicate kernel names rejected", `Quick, test_run_rejects_duplicate_kernel_names);
+      ("performance-only runs allocate no arrays", `Quick, test_perf_runs_allocate_no_arrays);
     ]

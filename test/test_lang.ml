@@ -107,7 +107,28 @@ let test_ast_validate_catches () =
       ~arrays:[ array "A" Dtype.Fp32 [ n ] ]
       [ Kernel (kernel "k" [ loop "i" (c 0) n ] [ store "A" [ i "j" ] (fconst 1.0) ]) ]
   in
-  Alcotest.(check bool) "unbound ivar" true (Result.is_error (validate bad_var))
+  Alcotest.(check bool) "unbound ivar" true (Result.is_error (validate bad_var));
+  (* the runtime keys regions, plans and JIT memo entries on the kernel
+     name: a second kernel of the same name would run the first's plan *)
+  let dup_name =
+    program ~name:"p" ~params:[ "N" ]
+      ~arrays:[ array "A" Dtype.Fp32 [ n ]; array "B" Dtype.Fp32 [ n ] ]
+      [
+        Kernel (kernel "k" [ loop "i" (c 0) n ] [ store "A" [ i "i" ] (fconst 1.0) ]);
+        Host_loop
+          ( loop "t" (c 0) n,
+            [
+              Kernel (kernel "k" [ loop "i" (c 0) n ] [ store "B" [ i "i" ] (fconst 2.0) ]);
+            ] );
+      ]
+  in
+  Alcotest.(check (result unit string)) "duplicate kernel name"
+    (Error "duplicate kernel name k") (validate dup_name);
+  let sweep = Kernel (kernel "k" [ loop "i" (c 0) n ] [ store "A" [ i "i" ] (fconst 1.0) ]) in
+  let repeated =
+    program ~name:"p" ~params:[ "N" ] ~arrays:[ array "A" Dtype.Fp32 [ n ] ] [ sweep; sweep ]
+  in
+  Alcotest.(check (result unit string)) "a kernel repeated verbatim" (Ok ()) (validate repeated)
 
 let test_ast_queries () =
   let open Ast in
@@ -245,6 +266,46 @@ let test_interp_op_count () =
     Alcotest.(check (list (pair string int))) "iterations" [ ("k", 8) ]
       (Interp.kernel_iterations env)
 
+(* An array is allocated on its first write; until then every read returns
+   0.0, through the same bounds checks as before. *)
+let test_interp_unwritten_reads () =
+  let open Ast in
+  let n = Symaff.var "N" in
+  let prog =
+    program ~name:"p" ~params:[ "N" ]
+      ~arrays:[ array "A" Dtype.Fp32 [ n; n ]; array "B" Dtype.Fp32 [ n ] ]
+      [
+        Let_scalar ("akk", load "A" [ c 1; c 1 ]);
+        Kernel
+          (kernel "k"
+             [ loop "i" (c 0) n ]
+             [ store "B" [ i "i" ] (load "A" [ i "i"; c 0 ] + fconst 1.0) ]);
+      ]
+  in
+  let env () =
+    match Interp.create prog ~params:[ ("N", 3) ] with
+    | Ok env -> env
+    | Error e -> Alcotest.fail e
+  in
+  let e = env () in
+  Alcotest.check feq "unwritten cell reads 0" 0.0 (Interp.read_cell e "A" [ 2; 1 ]);
+  Alcotest.(check (array (float 0.0))) "unwritten array reads as zeros"
+    (Array.make 9 0.0) (Interp.get_array e "A");
+  Interp.run e;
+  Alcotest.check feq "host read of an unwritten cell" 0.0 (Interp.get_scalar e "akk");
+  Alcotest.(check (array (float 0.0))) "kernel reads of an unwritten array"
+    [| 1.0; 1.0; 1.0 |] (Interp.get_array e "B");
+  Alcotest.check_raises "out-of-range read of an unwritten array"
+    (Failure "Interp: A index 3 out of range [0,3)")
+    (fun () -> ignore (Interp.read_cell (env ()) "A" [ 3; 0 ]));
+  Alcotest.check_raises "rank mismatch on an unwritten array"
+    (Failure "Interp: A rank mismatch")
+    (fun () -> ignore (Interp.read_cell (env ()) "A" [ 0 ]));
+  let e = env () in
+  Interp.write_cell e "A" [ 1; 2 ] 5.0;
+  Alcotest.check feq "written cell" 5.0 (Interp.read_cell e "A" [ 1; 2 ]);
+  Alcotest.check feq "its neighbours stay zero" 0.0 (Interp.read_cell e "A" [ 2; 1 ])
+
 let suite =
   [
     ("symaff basics", `Quick, test_symaff_basics);
@@ -260,4 +321,5 @@ let suite =
     ("interp indirect gather", `Quick, test_interp_indirect);
     ("interp out-of-range", `Quick, test_interp_out_of_range_indirect);
     ("interp op count", `Quick, test_interp_op_count);
+    ("interp unwritten arrays read zero", `Quick, test_interp_unwritten_reads);
   ]

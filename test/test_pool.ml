@@ -12,7 +12,9 @@
    - engine domain-safety: concurrent engine runs (including functional
      ones and shared compile caching, with plan stores filled warm or
      cold) report exactly what sequential runs report,
-   - private runs retain nothing: a private compile's plans die with it. *)
+   - private runs retain nothing: a private compile's plans die with it,
+   - concurrent misses of one Ccache key compute it once, and a compute
+     that raises wakes the callers waiting on it. *)
 
 module E = Infinity_stream.Engine
 module R = Infinity_stream.Report
@@ -431,6 +433,68 @@ let test_private_runs_retain_nothing () =
   let grown = live_words () - before in
   if grown > 0 then Alcotest.failf "50 private runs grew the live heap by %d words" grown
 
+(* Two domains released together miss one key: the first computes, the
+   second waits for that value (a hit) instead of computing it again. *)
+let test_ccache_concurrent_miss_computes_once () =
+  let c = Ccache.create () in
+  let computes = Atomic.make 0 and arrived = Atomic.make 0 in
+  let get () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    fst
+      (Ccache.find_or_compute c ~key:"k" (fun () ->
+           Atomic.incr computes;
+           Unix.sleepf 0.05;
+           "v"))
+  in
+  let d1 = Domain.spawn get and d2 = Domain.spawn get in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check (pair string string)) "both callers see the value" ("v", "v") (r1, r2);
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  Alcotest.(check (pair int int)) "hits / misses" (1, 1) (Ccache.hits c, Ccache.misses c)
+
+(* A compute that raises wakes the callers waiting on it; one of them
+   computes. The waiter runs on its own domain, so a lost wakeup fails the
+   test instead of hanging it. *)
+let test_ccache_raising_compute_wakes_waiters () =
+  let c = Ccache.create () in
+  let started = Atomic.make false in
+  let failing =
+    Domain.spawn (fun () ->
+        match
+          Ccache.find_or_compute c ~key:"k" (fun () ->
+              Atomic.set started true;
+              Unix.sleepf 0.05;
+              failwith "compute failed")
+        with
+        | _ -> None
+        | exception Failure m -> Some m)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let got = Atomic.make None in
+  let waiter =
+    Domain.spawn (fun () ->
+        Atomic.set got (Some (Ccache.find_or_compute c ~key:"k" (fun () -> "second"))))
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get got = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  match Atomic.get got with
+  | None -> Alcotest.fail "a caller waiting on a raising compute stayed blocked"
+  | Some r ->
+    Domain.join waiter;
+    Alcotest.(check (option string)) "the exception reaches its caller"
+      (Some "compute failed") (Domain.join failing);
+    Alcotest.(check (pair string bool)) "the waiter computes" ("second", false) r;
+    Alcotest.(check (pair int int)) "hits / misses" (0, 2) (Ccache.hits c, Ccache.misses c);
+    Alcotest.(check (option string)) "its value is stored" (Some "second")
+      (Ccache.find_opt c "k")
+
 let suite =
   [
     Alcotest.test_case "inverted durations emit in order" `Quick
@@ -464,4 +528,8 @@ let suite =
     Alcotest.test_case "ccache bound: reset, count, recompute" `Quick test_ccache_bound;
     Alcotest.test_case "private runs retain no plans" `Quick
       test_private_runs_retain_nothing;
+    Alcotest.test_case "ccache: concurrent misses of a key compute once" `Quick
+      test_ccache_concurrent_miss_computes_once;
+    Alcotest.test_case "ccache: a raising compute leaves no waiter blocked" `Quick
+      test_ccache_raising_compute_wakes_waiters;
   ]
