@@ -27,40 +27,43 @@ let vol_estimate ~nominal dom =
    operation times the (estimated) number of elements it touches. The
    constants come straight from the Bitserial model so that mv is cheap
    relative to multiply, making compute-reuse rewrites profitable exactly
-   when they save expensive ops. *)
-let node_cost ~dtype ~nominal g n =
-  let dom_vol id = vol_estimate ~nominal (domain_of g id) in
+   when they save expensive ops. [vol] is a class's [vol_estimate]. *)
+let cost ~dtype ~nominal ~vol g n =
   match n with
   | E_tensor _ | E_const _ | E_stream _ -> 0.0
   | E_cmp (op, inputs) ->
     let out_vol =
       List.fold_left
         (fun acc i ->
-          if acc > 0.0 then Float.min acc (dom_vol i)
-          else dom_vol i)
-        0.0
-        (List.filter (fun i -> domain_of g i <> Tdfg.Infinite) inputs)
+          match domain_of g i with
+          | Tdfg.Infinite -> acc
+          | Tdfg.Finite _ -> if acc > 0.0 then Float.min acc (vol i) else vol i)
+        0.0 inputs
     in
     let out_vol = if out_vol = 0.0 then 1.0 else out_vol in
     float_of_int (Bitserial.op_cycles op dtype) *. out_vol
   | E_mv { input; dist; _ } ->
-    float_of_int (Bitserial.intra_shift_cycles dtype ~distance:dist) *. dom_vol input
+    float_of_int (Bitserial.intra_shift_cycles dtype ~distance:dist) *. vol input
   | E_bc { input; dim = _; lo; hi } ->
     let env _ = nominal in
     let copies = max 1 (Symaff.eval hi env - Symaff.eval lo env) in
-    2.0 *. float_of_int (Dtype.bits dtype) *. dom_vol input *. log (float_of_int copies +. 1.0)
+    2.0 *. float_of_int (Dtype.bits dtype) *. vol input *. log (float_of_int copies +. 1.0)
   | E_shrink _ -> 0.0
   | E_reduce { op; input; _ } ->
     let rounds = 8.0 (* log2 of a typical tile extent *) in
     (float_of_int (Bitserial.op_cycles op dtype) +. float_of_int (Dtype.bits dtype))
     *. rounds
-    *. sqrt (dom_vol input)
+    *. sqrt (vol input)
+
+let node_cost ~dtype ~nominal g n =
+  cost ~dtype ~nominal ~vol:(fun id -> vol_estimate ~nominal (domain_of g id)) g n
 
 let infinity_cost = Float.max_float /. 4.0
 
 (* Extraction state. The graph does not change while extracting, so each
-   class's candidates (its [nodes_of]) and their own costs are computed
-   once; a choice is an index into them, -1 for none. *)
+   class's candidates (its [nodes_of]), its domain volume and the
+   candidates' own costs are computed once; a choice is an index into
+   them, -1 for none. *)
 type state = {
   g : Egraph.t;
   cands : enode array array;
@@ -72,12 +75,17 @@ type state = {
 
 let prepare ~dtype ~nominal g cls =
   let size = List.fold_left (fun m c -> max m (c + 1)) 0 cls in
-  let cands = Array.make size [||] in
-  List.iter (fun c -> cands.(c) <- Array.of_list (nodes_of g c)) cls;
+  let cands = Array.make size [||] and vols = Array.make size 1.0 in
+  List.iter
+    (fun c ->
+      cands.(c) <- Array.of_list (nodes_of g c);
+      vols.(c) <- vol_estimate ~nominal (domain_of g c))
+    cls;
+  let vol id = vols.(find g id) in
   {
     g;
     cands;
-    costs = Array.map (Array.map (node_cost ~dtype ~nominal g)) cands;
+    costs = Array.map (Array.map (cost ~dtype ~nominal ~vol g)) cands;
     choice = Array.make size (-1);
     mark = Array.make size 0;
     stamp = 0;
@@ -145,6 +153,15 @@ let dag_cost ?(visit = ignore) st roots =
     Some !total
   with Cyclic -> None
 
+(* The local search's table of reachable classes. It is iterated, so its
+   hash is [Hashtbl.hash], never seeded (see [Egraph.rebuild]'s table). *)
+module Visited = Hashtbl.Make (struct
+  type t = eid
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 let extract ?(nominal = 1024) ~dtype g ~roots =
   let roots = List.map (find g) roots in
   let cls = classes g in
@@ -166,11 +183,11 @@ let extract ?(nominal = 1024) ~dtype g ~roots =
   while !improved && !passes < 6 do
     improved := false;
     incr passes;
-    let visited : (eid, unit) Hashtbl.t = Hashtbl.create 64 in
-    match dag_cost ~visit:(fun id -> Hashtbl.replace visited id ()) st roots with
+    let visited = Visited.create 64 in
+    match dag_cost ~visit:(fun id -> Visited.replace visited id ()) st roots with
     | None -> ()
     | Some _ ->
-      Hashtbl.iter
+      Visited.iter
         (fun cls () ->
           let original = st.choice.(cls) in
           Array.iteri

@@ -53,7 +53,7 @@ let rec eval_terms env acc terms =
 
 let eval t env = eval_terms env t.consts t.terms
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) = a == b || a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 
 let leq ?(min_var = 1) a b =

@@ -12,7 +12,8 @@ let hi t i = snd t.(i)
 let ranges t = Array.to_list t
 
 let equal a b =
-  Array.length a = Array.length b
+  a == b
+  || Array.length a = Array.length b
   && Array.for_all2
        (fun (la, ha) (lb, hb) -> Symaff.equal la lb && Symaff.equal ha hb)
        a b
