@@ -16,13 +16,12 @@ let cfg = Machine_config.default
 
 (* ---- report cache: each (workload, paradigm, options-tag) simulated once
 
-   Mutex-guarded: the prewarm phase fills it from the worker pool's
-   domains, the figure code then reads it sequentially. Two domains racing
-   on the same key both simulate — the engine is deterministic, so either
-   result is the result. *)
+   The prewarm phase fills it from the worker pool's domains, the figure
+   code then reads it sequentially; a domain that wants a key another is
+   simulating waits for that report. Each entry keeps its (workload,
+   paradigm, tag) for the --json dump. *)
 
-let cache : (string, R.t) Hashtbl.t = Hashtbl.create 64
-let cache_mu = Mutex.create ()
+let cache : (string * string * string * R.t) Ccache.t = Ccache.create ()
 
 (* The suite runs warm: the paper assumes working sets are resident in the
    L3 ("input data already tiled to fit", §6); in-memory configurations
@@ -31,13 +30,13 @@ let cache_mu = Mutex.create ()
 let suite_options = { E.default_options with warm_data = true; share_compile = true }
 
 let run ?(tag = "") ?(options = suite_options) p (w : WL.t) =
-  let key = Printf.sprintf "%s|%s|%s" w.wname (E.paradigm_to_string p) tag in
-  match Mutex.protect cache_mu (fun () -> Hashtbl.find_opt cache key) with
-  | Some r -> r
-  | None ->
-    let r = E.run_exn ~options p w in
-    Mutex.protect cache_mu (fun () -> Hashtbl.replace cache key r);
-    r
+  let pname = E.paradigm_to_string p in
+  let (_, _, _, r), _ =
+    Ccache.find_or_compute cache
+      ~key:(Printf.sprintf "%s|%s|%s" w.wname pname tag)
+      (fun () -> (w.wname, pname, tag, E.run_exn ~options p w))
+  in
+  r
 
 let paradigms_fig11 = [ E.Base; E.Near_l3; E.In_l3; E.Inf_s; E.Inf_s_nojit ]
 
@@ -654,30 +653,19 @@ let substrate () =
    the dump never reads the clock itself, so the bytes stay reproducible
    and `infs_run trend` can order snapshots without trusting filenames. *)
 let dump_json ~suite ~meta file =
-  let entries =
-    Mutex.protect cache_mu (fun () ->
-        Hashtbl.fold (fun k r acc -> (k, r) :: acc) cache [])
-  in
-  let entries =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) entries
-  in
   let results =
-    List.map
-      (fun (key, (r : R.t)) ->
-        let w, p, tag =
-          match String.split_on_char '|' key with
-          | [ w; p; t ] -> (w, p, t)
-          | w :: p :: rest -> (w, p, String.concat "|" rest)
-          | _ -> (key, "", "")
-        in
+    Ccache.fold
+      (fun _ (w, p, tag, (r : R.t)) acc ->
         Json.Obj
           [
             ("workload", Json.Str w);
             ("paradigm", Json.Str p);
             ("tag", Json.Str tag);
             ("cycles", Json.Num r.R.cycles);
-          ])
-      entries
+          ]
+        :: acc)
+      cache []
+    |> List.rev
   in
   let j =
     Json.Obj

@@ -734,7 +734,14 @@ let tune_cmd =
               (if r.Infs_tune.Tune.from_cache then "  [cached]" else "")))
       names;
     if oc != stdout then close_out oc;
-    Option.iter (fun f -> Infs_tune.Tune.save_cache f) cache_file;
+    Option.iter
+      (fun f ->
+        match Infs_tune.Tune.save_cache f with
+        | Ok () -> ()
+        | Error e ->
+          prerr_endline ("error: cannot write tune cache: " ^ e);
+          exit 1)
+      cache_file;
     if !failures > 0 then exit 1
   in
   let workloads_arg =
@@ -1309,8 +1316,6 @@ let load_bench_file f =
       | Error e -> Error (f ^ ": " ^ e)
       | Ok b -> Ok b)
 
-let load_bench f = Result.map Bench_file.to_alist (load_bench_file f)
-
 let bench_diff_cmd =
   let pct_conv =
     let parse s =
@@ -1324,98 +1329,25 @@ let bench_diff_cmd =
     Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g%%" f)
   in
   let run old_f new_f warn max_regress json_file =
-    match (load_bench old_f, load_bench new_f) with
+    match (load_bench_file old_f, load_bench_file new_f) with
     | Error e, _ | _, Error e ->
       prerr_endline ("error: " ^ e);
       exit 1
-    | Ok old_r, Ok new_r ->
-      let compared = ref 0
-      and regressed = ref 0
-      and warned = ref 0
-      and improved = ref 0
-      and worst = ref neg_infinity in
-      (* one JSON entry per printed line, new-file order then removals —
-         the machine-readable twin of the text output for CI archival *)
-      let jentries = ref [] in
-      let jentry key status fields =
-        jentries :=
-          Json.Obj (("key", Json.Str key) :: ("status", Json.Str status) :: fields)
-          :: !jentries
-      in
-      List.iter
-        (fun (key, nc) ->
-          match List.assoc_opt key old_r with
-          | None ->
-            Printf.printf "new entry   %-44s %12.4e cycles\n" key nc;
-            jentry key "new" [ ("new_cycles", Json.Num nc) ]
-          | Some oc ->
-            incr compared;
-            let delta = 100.0 *. (nc -. oc) /. Float.max 1e-9 oc in
-            if delta > !worst then worst := delta;
-            let fields =
-              [
-                ("old_cycles", Json.Num oc);
-                ("new_cycles", Json.Num nc);
-                ("delta_pct", Json.Num delta);
-              ]
-            in
-            if delta > max_regress then begin
-              incr regressed;
-              Printf.printf "REGRESSION  %-44s %+8.2f%%  (%.4e -> %.4e cycles)\n"
-                key delta oc nc;
-              jentry key "regression" fields
-            end
-            else if delta > warn then begin
-              incr warned;
-              Printf.printf "warn        %-44s %+8.2f%%\n" key delta;
-              jentry key "warn" fields
-            end
-            else if delta < -.warn then begin
-              incr improved;
-              Printf.printf "improved    %-44s %+8.2f%%\n" key delta;
-              jentry key "improved" fields
-            end
-            else jentry key "ok" fields)
-        new_r;
-      List.iter
-        (fun (key, oc) ->
-          if not (List.mem_assoc key new_r) then begin
-            Printf.printf "removed     %s\n" key;
-            jentry key "removed" [ ("old_cycles", Json.Num oc) ]
-          end)
-        old_r;
-      Printf.printf
-        "bench-diff: %d compared; %d regressed (> %g%%), %d warned (> %g%%), \
-         %d improved; worst %s\n"
-        !compared !regressed max_regress !warned warn !improved
-        (if !compared = 0 then "n/a" else Printf.sprintf "%+.2f%%" !worst);
+    | Ok old_, Ok new_ ->
+      let d = Bench_diff.diff ~warn ~max_regress ~old_ ~new_ in
+      print_string (Bench_diff.to_text d);
       Option.iter
         (fun f ->
-          let j =
-            Json.Obj
-              [
-                ("schema", Json.Str "infs-bench-diff-1");
-                ("warn_pct", Json.Num warn);
-                ("max_regress_pct", Json.Num max_regress);
-                ("compared", Json.Num (float_of_int !compared));
-                ("regressed", Json.Num (float_of_int !regressed));
-                ("warned", Json.Num (float_of_int !warned));
-                ("improved", Json.Num (float_of_int !improved));
-                ( "worst_pct",
-                  if !compared = 0 then Json.Null else Json.Num !worst );
-                ("entries", Json.Arr (List.rev !jentries));
-              ]
-          in
           try
             let oc = open_out f in
-            output_string oc (Json.to_string j);
+            output_string oc (Json.to_string (Bench_diff.to_json d));
             output_char oc '\n';
             close_out oc
           with Sys_error e ->
             prerr_endline ("error: cannot write json diff: " ^ e);
             exit 1)
         json_file;
-      if !regressed > 0 then exit 1
+      if Bench_diff.failed d then exit 1
   in
   let old_arg =
     Arg.(
@@ -1439,7 +1371,9 @@ let bench_diff_cmd =
     Arg.(
       value & opt pct_conv 25.0
       & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:"exit non-zero if any entry is slower by more than $(docv)")
+          ~doc:
+            "exit non-zero if any entry moved by more than $(docv) in either \
+             direction, or is missing from NEW")
   in
   let json_arg =
     Arg.(
@@ -1455,7 +1389,8 @@ let bench_diff_cmd =
     (Cmd.info "bench-diff"
        ~doc:
          "compare two bench --json result files per (workload, paradigm) \
-          and fail on cycle-count regressions above the threshold")
+          and fail on any cycle count that moved beyond the threshold in \
+          either direction, or that NEW lacks")
     Term.(const run $ old_arg $ new_arg $ warn_arg $ max_arg $ json_arg)
 
 (* ---------- trend: per-commit snapshots -> sparkline page ---------- *)

@@ -93,55 +93,25 @@ let compile_program (options : options) (w : Workload.t) =
 (* ---- process-wide compile cache (batch / bench paths) ----
 
    Compilation (frontend extraction, e-graph optimization, scheduling) is a
-   pure function of the program text and the optimizer flag, so its result
-   can be shared across jobs and across domains. The cache is
-   content-addressed: the key digests the printed program, the machine
-   configuration and the optimizer flag. A cached program's fat binary is
-   immutable after construction — the engine only reads it — and its plan
-   store is domain-safe, which is what makes cross-domain sharing safe.
-   Off by default ([share_compile]): single runs and golden traces behave
-   exactly as before. *)
+   pure function of the program, the machine configuration and the
+   optimizer flag, so its result can be shared across jobs and across
+   domains. The cache is content-addressed by [compile_key]. A cached
+   program's fat binary is immutable after construction — the engine only
+   reads it — and its plan store is domain-safe, which is what makes
+   cross-domain sharing safe. Off by default ([share_compile]): single runs
+   and golden traces behave exactly as before. *)
 
 let compile_cache : (program, string) result Ccache.t = Ccache.create ()
 
-(* The digest is a pure function of the printed program, the machine config
-   and the optimizer flag, but pretty-printing a large AST costs tens of
-   microseconds — comparable to the whole per-run dispatch floor. Bench
-   loops re-run the same [Workload.t] values, so a small per-domain cache
-   keyed on physical identity of (prog, cfg) recovers the digest without
-   reprinting. Same inputs produce the same hex, so behaviour is
-   unchanged. *)
-let compile_key_cache :
-    (Ast.program * Machine_config.t * bool * string) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let compile_key_uncached (options : options) (w : Workload.t) =
+(* The marshalled bytes are exact (every float constant bit for bit) and
+   canonical: programs are trees of plain data with [Symaff] kept in
+   normal form, and [No_sharing] keeps shared subterms from changing the
+   bytes. Digesting them costs a tenth of printing the program, so no
+   memo sits beside the key. *)
+let compile_key (options : options) (w : Workload.t) =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00"
-          [
-            Format.asprintf "%a" Ast.pp_program w.prog;
-            Marshal.to_string options.cfg [];
-            string_of_bool options.optimize;
-          ]))
-
-let compile_key (options : options) (w : Workload.t) =
-  let cache = Domain.DLS.get compile_key_cache in
-  let rec find = function
-    | (p, c, o, d) :: _
-      when p == w.prog && c == options.cfg && o = options.optimize ->
-      Some d
-    | _ :: tl -> find tl
-    | [] -> None
-  in
-  match find !cache with
-  | Some d -> d
-  | None ->
-    let d = compile_key_uncached options w in
-    let prev = !cache in
-    let prev = if List.length prev >= 64 then List.filteri (fun i _ -> i < 63) prev else prev in
-    cache := (w.prog, options.cfg, options.optimize, d) :: prev;
-    d
+       (Marshal.to_string (w.prog, options.cfg, options.optimize) [ Marshal.No_sharing ]))
 
 let compile obs (options : options) (w : Workload.t) =
   if not options.share_compile then compile_program options w

@@ -86,8 +86,7 @@ type options = {
       (** look up / publish the compiled program — the fat binary and its
           plan store of worksets, resolved domains, layouts and JIT
           lowerings — in the process-wide content-addressed compile cache
-          (keyed by a digest of the program text, the machine
-          configuration and the optimizer flag) instead of compiling
+          (keyed by {!compile_key}) instead of compiling
           privately; a private compile's plans are freed with its run.
           Used by the batch/bench paths, where many jobs share
           programs; single runs default to [false] so their
@@ -123,6 +122,14 @@ type options = {
 }
 
 val default_options : options
+
+val compile_key : options -> Workload.t -> string
+(** The compile cache's key: the hex MD5 of the workload's program, [cfg]
+    and [optimize], marshalled without sharing. It is exact — programs
+    that differ in any constant, even past the sixth significant digit,
+    get different keys — and canonical: equal programs, however and
+    whenever built, get one key. [params] and every other option stay out
+    of it, so the sizes of one program share a compile. *)
 
 val compile_cache_stats : unit -> int * int * int
 (** [(hits, misses, entries)] of the process-wide compile cache, counting

@@ -4,8 +4,8 @@
     pure derivation) to computed values across a sharded set of
     mutex-guarded hash tables, with hit/miss/eviction counters. It backs
     the engine's compile cache (compiled programs shared by batch jobs on
-    separate domains), each compiled program's plan store, and the tuner's
-    memo.
+    separate domains), each compiled program's plan store, the tuner's
+    memo and the bench harness's report cache.
 
     [find_or_compute] computes {e outside} the shard lock, once per key:
     a caller that misses a key another caller is computing waits for that

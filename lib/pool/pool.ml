@@ -394,25 +394,10 @@ let await (cell : _ ticket) =
   Mutex.unlock cell.m;
   r
 
-let map_stream ?jobs ?retries ?backoff_s ?backoff_cap_s ?timeout_s ~f ~emit
-    items =
+let run_list ?jobs ?retries ?backoff_s ?backoff_cap_s ?timeout_s fs =
   let t = create ?jobs () in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      let tickets =
-        List.map
-          (fun x ->
-            submit t ?retries ?backoff_s ?backoff_cap_s ?timeout_s (fun () ->
-                f x))
-          items
-      in
-      List.iteri (fun i tk -> emit i (await tk)) tickets)
-
-let run_list ?jobs ?retries ?backoff_s ?backoff_cap_s ?timeout_s fs =
-  let out = Array.make (List.length fs) None in
-  map_stream ?jobs ?retries ?backoff_s ?backoff_cap_s ?timeout_s
-    ~f:(fun f -> f ())
-    ~emit:(fun i r -> out.(i) <- Some r)
-    fs;
-  Array.to_list (Array.map Option.get out)
+      List.map (submit t ?retries ?backoff_s ?backoff_cap_s ?timeout_s) fs
+      |> List.map await)

@@ -16,9 +16,9 @@
       domains cannot be preempted) but its late result is discarded.
     - {b Cancellation} — [cancel] removes a not-yet-started job from the
       queue ([Error Cancelled]); jobs already running are not interrupted.
-    - {b Deterministic result ordering} — [run_list] / [map_stream] emit
-      results in submission order regardless of completion order, so
-      parallel output is byte-identical to a sequential run.
+    - {b Deterministic result ordering} — [run_list] returns results in
+      submission order regardless of completion order, so parallel output
+      is byte-identical to a sequential run.
 
     The simulator itself stays single-threaded per job; parallelism is
     across independent (workload, paradigm, options) engine runs, which PR
@@ -155,18 +155,3 @@ val run_list :
     submission order. The pool is shut down before returning. With
     [~jobs:1] this is sequential execution with the same API.
     [retries]/[backoff_s] apply per job as in {!submit}. *)
-
-val map_stream :
-  ?jobs:int ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?backoff_cap_s:float ->
-  ?timeout_s:float ->
-  f:('a -> 'b) ->
-  emit:(int -> 'b outcome -> unit) ->
-  'a list ->
-  unit
-(** [map_stream ~f ~emit items] applies [f] to every item on a fresh pool
-    and calls [emit i outcome] {e in submission order} (0, 1, 2, …) from
-    the calling domain, as soon as each prefix of results is ready — the
-    streaming surface for the JSON-lines job server. *)

@@ -50,3 +50,10 @@ let of_json j =
 let of_string s = Result.bind (Json.parse s) of_json
 
 let to_alist t = List.map (fun e -> (key e, e.cycles)) t.results
+
+let pair ~old_ ~new_ =
+  let old_alist = to_alist old_ and new_alist = to_alist new_ in
+  ( List.map (fun e -> (e, List.assoc_opt (key e) old_alist)) new_.results,
+    List.filter (fun (k, _) -> not (List.mem_assoc k new_alist)) old_alist )
+
+let delta_pct ~old_c ~new_c = 100.0 *. (new_c -. old_c) /. Float.max 1e-9 old_c

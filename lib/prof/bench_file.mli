@@ -35,5 +35,11 @@ val timestamp : t -> string option
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
-val to_alist : t -> (string * float) list
-(** [(key, cycles)] per result, in file order. *)
+val pair : old_:t -> new_:t -> (entry * float option) list * (string * float) list
+(** [(paired, removed)]: every entry of [new_] in file order with the
+    cycles of the first [old_] entry under its {!key} ([None] for a new
+    key), and the [(key, cycles)] of every [old_] entry whose key [new_]
+    lacks, in file order. *)
+
+val delta_pct : old_c:float -> new_c:float -> float
+(** Signed percent change from [old_c] to [new_c]; [+] is slower. *)

@@ -10,28 +10,23 @@ type cell = {
 
 type group = { label : string; cells : cell list; impact : float; worst : cell }
 
-let delta_pct ~old_c ~new_c = 100.0 *. (new_c -. old_c) /. Float.max 1e-9 old_c
-
-(* Pair up every key present in both snapshots, in new-file order. *)
-let cells_of ~(old_ : Bench_file.t) ~(new_ : Bench_file.t) =
-  let old_alist = Bench_file.to_alist old_ in
+(* Every key present in both snapshots, in new-file order. *)
+let cells_of ~old_ ~new_ =
   List.filter_map
-    (fun (e : Bench_file.entry) ->
-      let key = Bench_file.key e in
-      match List.assoc_opt key old_alist with
-      | None -> None
-      | Some old_c ->
-        Some
+    (fun ((e : Bench_file.entry), old_c) ->
+      Option.map
+        (fun old_c ->
           {
             workload = e.workload;
             paradigm = e.paradigm;
             tag = e.tag;
-            key;
+            key = Bench_file.key e;
             old_cycles = old_c;
             new_cycles = e.cycles;
-            delta_pct = delta_pct ~old_c ~new_c:e.cycles;
+            delta_pct = Bench_file.delta_pct ~old_c ~new_c:e.cycles;
           })
-    new_.results
+        old_c)
+    (fst (Bench_file.pair ~old_ ~new_))
 
 let impact_of cells =
   List.fold_left (fun a c -> a +. Float.abs (c.new_cycles -. c.old_cycles)) 0.0 cells

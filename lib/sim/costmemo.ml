@@ -72,27 +72,8 @@ let key_of (c : Command.t) =
 let table_key : (int, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 512)
 
-let array_cycles (c : Command.t) =
-  match c.Command.kind with
-  | Command.Sync -> 0 (* barriers have no array occupancy and skip the table *)
-  | _ -> begin
-    let tbl = Domain.DLS.get table_key in
-    let k = key_of c in
-    match Hashtbl.find tbl k with
-    | v ->
-      Atomic.incr hits_a;
-      v
-    | exception Not_found ->
-      Atomic.incr misses_a;
-      let v = Command.array_cycles c in
-      Hashtbl.replace tbl k v;
-      v
-  end
-
-(* Batched interface for the command loop: one DLS fetch per region and
-   one atomic add per counter at the end instead of per command. The
-   counter totals observable after [flush] are identical to the per-call
-   path — only the update granularity changes, and nothing reads the
+(* The command loop's interface: one DLS fetch per region and one atomic
+   add per counter at the end instead of per command. Nothing reads the
    counters mid-region. *)
 type local = {
   tbl : (int, int) Hashtbl.t;

@@ -13,10 +13,6 @@
     or metric series: both of those surfaces are pinned byte-for-byte by
     golden tests that predate the memo. *)
 
-val array_cycles : Command.t -> int
-(** Memoized [Command.array_cycles]; [Sync] returns 0 without touching
-    the table or the counters. *)
-
 val hits : unit -> int
 val misses : unit -> int
 
@@ -30,8 +26,7 @@ val reset : unit -> unit
 
     The command loop fetches the per-domain table once per region and
     accumulates hit/miss counts locally; {!flush} folds them into the
-    global atomics. Totals after a flush equal what the per-call
-    {!array_cycles} path would have produced. *)
+    global atomics. *)
 
 type local
 
@@ -39,4 +34,7 @@ val local : unit -> local
 (** Bind the current domain's table. Do not share across domains. *)
 
 val array_cycles_local : local -> Command.t -> int
+(** Memoized [Command.array_cycles]; [Sync] returns 0 without touching
+    the table or the counters. *)
+
 val flush : local -> unit

@@ -156,9 +156,9 @@ let score_batch ~jobs program base resolve cands =
 let default_budget = 32
 
 (* The tuning decision depends on everything a score run depends on: the
-   program text AND its concrete parameters (unlike the engine's compile
-   key — compilation is symbolic in the sizes, scoring is not), the
-   machine, the cost-model option knobs, and the search budget. *)
+   compile key (program, machine, optimizer flag), the concrete parameters
+   (compilation is symbolic in the sizes, scoring is not), the cost-model
+   option knobs, and the search budget. *)
 let memo_key (base : E.options) ~budget (w : Workload.t) =
   let params =
     List.sort compare w.Workload.params
@@ -169,10 +169,8 @@ let memo_key (base : E.options) ~budget (w : Workload.t) =
     (Digest.string
        (String.concat "\x00"
           [
-            Format.asprintf "%a" Ast.pp_program w.Workload.prog;
+            E.compile_key base w;
             params;
-            Marshal.to_string base.E.cfg [];
-            string_of_bool base.E.optimize;
             string_of_bool base.E.charge_jit;
             string_of_bool base.E.warm_data;
             string_of_bool base.E.pre_transposed;
@@ -437,12 +435,15 @@ let save_cache path =
         ("entries", Json.Arr (List.rev entries));
       ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n')
+  try
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc (Json.to_string doc);
+        output_char oc '\n');
+    Ok ()
+  with Sys_error e -> Error e
 
 let load_cache path =
   let* text =

@@ -8,7 +8,8 @@
     on the domain pool, greedily refines per-kernel overrides from the
     uniform winner, and memoizes the winning decision vector in a
     content-addressed cache keyed by
-    (program ⊕ params ⊕ machine ⊕ option knobs ⊕ budget).
+    ({!Infinity_stream.Engine.compile_key} ⊕ params ⊕ option knobs ⊕
+    budget).
 
     Candidate 0 is always the Inf-S / Eq. 2-heuristic baseline, so the
     winner is never worse than the heuristic. Scoring runs are
@@ -81,10 +82,11 @@ val cache_stats : unit -> int * int * int
 
 val cache_clear : unit -> unit
 
-val save_cache : string -> unit
+val save_cache : string -> (unit, string) Stdlib.result
 (** Persist every memoized tuning result as one JSON document (schema
     [infs-tune-cache-1]) with entries in ascending key order —
-    deterministic bytes for artifact diffing. *)
+    deterministic bytes for artifact diffing. [Error] carries the system's
+    message when the file cannot be written. *)
 
 val load_cache : string -> (int, string) Stdlib.result
 (** Seed the process-wide memo from a file written by {!save_cache};

@@ -14,7 +14,9 @@
      cold) report exactly what sequential runs report,
    - private runs retain nothing: a private compile's plans die with it,
    - concurrent misses of one Ccache key compute it once, and a compute
-     that raises wakes the callers waiting on it. *)
+     that raises wakes the callers waiting on it,
+   - the compile key is exact (constants past %g are two compiles) and
+     canonical (a rebuilt catalog program hits). *)
 
 module E = Infinity_stream.Engine
 module R = Infinity_stream.Report
@@ -22,24 +24,25 @@ module R = Infinity_stream.Report
 (* ---- pool core ---- *)
 
 let test_inverted_durations () =
-  (* later-submitted jobs finish first; emission order must stay 0..n-1 *)
+  (* later-submitted jobs finish first; results must stay in submission
+     order *)
   let n = 8 in
-  let emitted = ref [] in
-  Pool.map_stream ~jobs:4
-    ~f:(fun i ->
-      Unix.sleepf (float_of_int (n - i) *. 0.01);
-      i * i)
-    ~emit:(fun id r -> emitted := (id, r) :: !emitted)
-    (List.init n Fun.id);
-  let got = List.rev !emitted in
+  let ran = Atomic.make 0 in
+  let got =
+    Pool.run_list ~jobs:4
+      (List.init n (fun i () ->
+           Atomic.incr ran;
+           Unix.sleepf (float_of_int (n - i) *. 0.01);
+           i * i))
+  in
   List.iteri
-    (fun i (id, r) ->
-      Alcotest.(check int) "emitted in submission order" i id;
+    (fun i r ->
       match r with
-      | Ok v -> Alcotest.(check int) "result of the right job" (i * i) v
+      | Ok v -> Alcotest.(check int) "result in submission order" (i * i) v
       | Error e -> Alcotest.fail (Pool.error_to_string e))
     got;
-  Alcotest.(check int) "every job emitted exactly once" n (List.length got)
+  Alcotest.(check (pair int int)) "every job run and returned exactly once" (n, n)
+    (Atomic.get ran, List.length got)
 
 let test_run_list_order () =
   let results =
@@ -495,6 +498,48 @@ let test_ccache_raising_compute_wakes_waiters () =
     Alcotest.(check (option string)) "its value is stored" (Some "second")
       (Ccache.find_opt c "k")
 
+(* The compile key is exact: two programs whose constants differ past the
+   sixth significant digit are two compiles, and the second's shared run
+   computes what its private run computes. *)
+let test_compile_key_exact () =
+  let options = { E.default_options with functional = true; share_compile = true } in
+  let err options w =
+    match (E.run_exn ~options E.Inf_s w).R.correctness with
+    | `Checked err -> err
+    | `Skipped -> Alcotest.fail "functional run skipped its check"
+  in
+  let w1 = Infs_workloads.Extras.saxpy ~n:64 ~a:2.5 in
+  let w2 = Infs_workloads.Extras.saxpy ~n:64 ~a:2.5000004 in
+  E.compile_cache_clear ();
+  ignore (err options w1);
+  let shared = err options w2 in
+  let hits, misses, entries = E.compile_cache_stats () in
+  E.compile_cache_clear ();
+  Alcotest.(check (list int)) "compile cache hits, misses, entries" [ 0; 2; 2 ]
+    [ hits; misses; entries ];
+  Alcotest.(check (float 0.0)) "shared run == private run"
+    (err { options with share_compile = false } w2)
+    shared;
+  Alcotest.(check (float 0.0)) "max error" 0.0 shared
+
+(* The key is canonical: every test-scale catalog program, built afresh by
+   [Catalog.find] for each request as serve does, hits the compile of the
+   first build. *)
+let test_compile_key_rebuilt_catalog () =
+  let options = { E.default_options with share_compile = true } in
+  List.iter
+    (fun name ->
+      E.compile_cache_clear ();
+      for _ = 1 to 2 do
+        match Infs_workloads.Catalog.find `Test name with
+        | Ok w -> ignore (E.run_exn ~options E.Inf_s w)
+        | Error e -> Alcotest.fail e
+      done;
+      let hits, misses, _ = E.compile_cache_stats () in
+      Alcotest.(check (pair int int)) (name ^ ": hits, misses") (1, 1) (hits, misses))
+    (Infs_workloads.Catalog.names `Test);
+  E.compile_cache_clear ()
+
 let suite =
   [
     Alcotest.test_case "inverted durations emit in order" `Quick
@@ -532,4 +577,7 @@ let suite =
       test_ccache_concurrent_miss_computes_once;
     Alcotest.test_case "ccache: a raising compute leaves no waiter blocked" `Quick
       test_ccache_raising_compute_wakes_waiters;
+    Alcotest.test_case "compile key: constants are exact" `Quick test_compile_key_exact;
+    Alcotest.test_case "compile key: rebuilt catalog programs hit" `Quick
+      test_compile_key_rebuilt_catalog;
   ]

@@ -13,7 +13,9 @@
    - trend: the committed three-snapshot fixture renders the committed
      markdown page exactly, flags the planted regression,
    - bench-bisect: slice minimization on hand-made snapshots, including
-     the nothing-moved and everything-moved edge cases. *)
+     the nothing-moved and everything-moved edge cases,
+   - bench-diff: a drop or a vanished entry fails the gate like a rise;
+     identical files and a new entry pass. *)
 
 module E = Infinity_stream.Engine
 module R = Infinity_stream.Report
@@ -436,6 +438,36 @@ let test_bisect_disjoint_keys_ignored () =
   Alcotest.(check int) "nothing moved" 0 moved;
   Alcotest.(check int) "no groups" 0 (List.length groups)
 
+(* ---- bench-diff: a two-sided gate ---- *)
+
+let diff0 old_ new_ =
+  let old_ = bench_of ~suite:"t" old_ and new_ = bench_of ~suite:"t" new_ in
+  Bench_diff.diff ~warn:0.0 ~max_regress:0.0 ~old_ ~new_
+
+let status_of key d =
+  List.find_map
+    (fun r -> if r.Bench_diff.key = key then Some r.Bench_diff.status else None)
+    d.Bench_diff.rows
+
+let test_bench_diff_fails_on_drop_and_removal () =
+  let base = grid (fun i -> 1000.0 +. float_of_int i) in
+  let drop = diff0 base (grid (fun i -> if i = 2 then 1001.0 else 1000.0 +. float_of_int i)) in
+  Alcotest.(check bool) "a one-cycle drop at 0% fails" true (Bench_diff.failed drop);
+  Alcotest.(check bool) "with its own status" true
+    (status_of "stencil [base]" drop = Some Bench_diff.Drop);
+  let removed = diff0 base (List.tl base) in
+  Alcotest.(check bool) "a removed entry fails" true (Bench_diff.failed removed);
+  Alcotest.(check bool) "listed as removed" true
+    (status_of "mm [base]" removed = Some Bench_diff.Removed)
+
+let test_bench_diff_passes_same_and_new () =
+  let base = grid (fun i -> 1000.0 +. float_of_int i) in
+  Alcotest.(check bool) "identical files pass" false (Bench_diff.failed (diff0 base base));
+  let added = diff0 base (base @ [ ("qr", "base", 5.0) ]) in
+  Alcotest.(check bool) "a new entry passes" false (Bench_diff.failed added);
+  Alcotest.(check bool) "and is listed" true
+    (status_of "qr [base]" added = Some Bench_diff.New)
+
 (* ---- side files keep the requested format behind a shard suffix ---- *)
 
 let test_side_file_format () =
@@ -485,3 +517,9 @@ let suite =
      test_bisect_disjoint_keys_ignored);
   ]
   @ reconcile_tests
+  @ [
+      ("bench-diff: a drop or a removal fails at 0%", `Quick,
+       test_bench_diff_fails_on_drop_and_removal);
+      ("bench-diff: identical files and a new entry pass", `Quick,
+       test_bench_diff_passes_same_and_new);
+    ]

@@ -6,7 +6,8 @@
    - a qcheck property: runs under a tuned decision policy stay
      functionally bit-exact (max-err 0.0) across paradigms and overrides,
    - a search compiles once and leaves the process-wide compile cache
-     untouched. *)
+     untouched,
+   - the memo key is exact, and an unwritable cache file is an Error. *)
 
 module T = Infs_tune.Tune
 module E = Infinity_stream.Engine
@@ -22,6 +23,9 @@ let tune_exn ?options ?budget ?jobs resolve =
   | Error e -> Alcotest.fail e
 
 let report_bytes r = Json.to_string (T.result_to_json r)
+
+let save_exn file =
+  match T.save_cache file with Ok () -> () | Error e -> Alcotest.fail e
 
 let test_jobs_byte_identity () =
   T.cache_clear ();
@@ -74,9 +78,9 @@ let test_cache_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      T.save_cache file;
+      save_exn file;
       let bytes1 = In_channel.with_open_bin file In_channel.input_all in
-      T.save_cache file;
+      save_exn file;
       let bytes2 = In_channel.with_open_bin file In_channel.input_all in
       Alcotest.(check string) "cache file bytes are deterministic" bytes1
         bytes2;
@@ -168,6 +172,23 @@ let test_one_compile_per_search () =
   Alcotest.(check (list int)) "compile cache hits, misses, entries" [ 0; 0; 0 ]
     [ hits; misses; entries ]
 
+(* Two programs whose constants differ past the sixth significant digit
+   are two tuning problems: the second is searched, under its own key. *)
+let test_exact_key () =
+  T.cache_clear ();
+  let saxpy a () = Infs_workloads.Extras.saxpy ~n:64 ~a in
+  let r1 = tune_exn ~budget:4 ~jobs:1 (saxpy 2.5) in
+  let r2 = tune_exn ~budget:4 ~jobs:1 (saxpy 2.5000004) in
+  Alcotest.(check bool) "second program is searched" false r2.T.from_cache;
+  Alcotest.(check bool) "keys differ" true (r1.T.key <> r2.T.key)
+
+(* A cache that cannot be written is an [Error], not an exception. *)
+let test_save_unwritable () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "infs-no-such-dir" in
+  Alcotest.(check bool) "the directory is missing" false (Sys.file_exists dir);
+  Alcotest.(check bool) "save returns Error" true
+    (Result.is_error (T.save_cache (Filename.concat dir "cache.json")))
+
 let suite =
   [
     ("tune: jobs:4 byte-identical to jobs:1", `Quick, test_jobs_byte_identity);
@@ -178,4 +199,6 @@ let suite =
     ("tune: winner run stays Checked 0.0", `Quick, test_tuned_winner_checked_zero);
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_tuned_run_bit_exact;
     ("tune: one compile per search, compile cache untouched", `Quick, test_one_compile_per_search);
+    ("tune: constants past %g are distinct keys", `Quick, test_exact_key);
+    ("tune: unwritable cache file is an Error", `Quick, test_save_unwritable);
   ]
