@@ -21,7 +21,7 @@ let cfg = Machine_config.default
    simulating waits for that report. Each entry keeps its (workload,
    paradigm, tag) for the --json dump. *)
 
-let cache : (string * string * string * R.t) Ccache.t = Ccache.create ()
+let cache : (string, string * string * string * R.t) Ccache.t = Ccache.create ()
 
 (* The suite runs warm: the paper assumes working sets are resident in the
    L3 ("input data already tiled to fit", §6); in-memory configurations

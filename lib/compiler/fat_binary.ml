@@ -8,6 +8,7 @@ type hints = {
 
 type region = {
   kernel : Ast.kernel;
+  index : int;
   sdfg : Sdfg.t;
   initial : Tdfg.t;
   optimized : Tdfg.t;
@@ -114,7 +115,7 @@ let domain_vars g live =
   in
   Array.of_list (Svars.elements acc)
 
-let compile_region ~optimize ~extents prog (k : Ast.kernel) =
+let compile_region ~optimize ~extents ~index prog (k : Ast.kernel) =
   let info = Kernel_info.analyze prog k in
   let sdfg = Sdfg.of_kernel prog k in
   let region ~initial ~optimized ~schedules ~hints ~opt_stats ~fallback =
@@ -126,6 +127,7 @@ let compile_region ~optimize ~extents prog (k : Ast.kernel) =
     in
     {
       kernel = k;
+      index;
       sdfg;
       initial;
       optimized;
@@ -196,15 +198,21 @@ let compile ?(optimize = true) prog =
   | Error e -> Error (Printf.sprintf "program %s: %s" prog.Ast.name e)
   | Ok () ->
     let extents = Frontend.array_extents prog in
+    let by_name = Hashtbl.create 8 in
+    (* [List.map] applies its function in order, so indices follow the
+       syntactic order of first occurrences *)
     let regions =
-      List.map (compile_region ~optimize ~extents prog) (Ast.kernels prog)
+      List.map
+        (fun (k : Ast.kernel) ->
+          match Hashtbl.find_opt by_name k.kname with
+          | Some first -> compile_region ~optimize ~extents ~index:first.index prog k
+          | None ->
+            let r = compile_region ~optimize ~extents ~index:(Hashtbl.length by_name) prog k in
+            Hashtbl.add by_name k.kname r;
+            r)
+        (Ast.kernels prog)
     in
-    let by_name = Hashtbl.create (List.length regions) in
-    List.iter
-      (fun r ->
-        if not (Hashtbl.mem by_name r.kernel.Ast.kname) then
-          Hashtbl.add by_name r.kernel.Ast.kname r)
-      regions;
     Ok { prog; regions; extents; by_name }
 
 let region_of t name = Hashtbl.find_opt t.by_name name
+let region_count t = Hashtbl.length t.by_name

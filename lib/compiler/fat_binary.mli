@@ -18,6 +18,11 @@ type hints = {
 
 type region = {
   kernel : Ast.kernel;
+  index : int;
+      (** the position of the kernel's name among the program's distinct
+          kernel names, in syntactic order: [0] to [region_count - 1]. A
+          verbatim repeat of a kernel shares its first occurrence's
+          index. The runtime keys per-run state and plans on it. *)
   sdfg : Sdfg.t;
       (** the near-memory representation — both DFGs ship in the binary so
           the runtime can choose the offload target (§3.4) *)
@@ -67,5 +72,9 @@ val compile : ?optimize:bool -> Ast.program -> (t, string) result
 
 val region_of : t -> string -> region option
 (** Find a region by kernel name, in O(1). *)
+
+val region_count : t -> int
+(** The number of distinct kernel names, one more than the largest
+    [index]. *)
 
 val derive_hints : Tdfg.t -> hints

@@ -63,20 +63,29 @@ let default_options =
    resolved node domains with their signature, and a layout choice, and
    the JIT lowers commands; each is a pure function of the region and the
    values of the variables that derivation reads, so the store keeps them
-   keyed on exactly those values (and the lowering on the JIT memo key).
-   The store lives and dies with its program: a private compile's plans
-   are freed with its run, and programs in the compile cache share theirs
-   across runs and domains. Every table is a [Ccache] bounded by
-   [plan_store_capacity] (reset when full, eviction counted); values are
-   never mutated once stored. *)
+   keyed on exactly those values (and the lowering on the signature and
+   the layout). The store lives and dies with its program: a private
+   compile's plans are freed with its run, and programs in the compile
+   cache share theirs across runs and domains. Every table is a [Ccache]
+   bounded by [plan_store_capacity] (reset when full, eviction counted);
+   values are never mutated once stored. *)
+
+(* A plan table keyed by region and variable values: [packed] holds the
+   keys that pack into one int, [exact] the rest (see [packed_key]). *)
+type 'v plans = { packed : (int, 'v) Ccache.t; exact : (string, 'v) Ccache.t }
+
+(* The resolved domain of every live node, indexed by node id, and their
+   signature, the JIT memo key's domain half. *)
+type domain_plan = { doms : Hyperrect.t option array; sg : Jit.signature }
 
 type program = {
   fb : Fat_binary.t;
-  worksets : Workset.t Ccache.t;
-  domains : (Hyperrect.t option array * string) Ccache.t;
-  layouts : (Layout.t * string, string) result Ccache.t;
+  region_bits : int; (* bits that hold every region index *)
+  worksets : Workset.t plans;
+  domains : domain_plan plans;
+  layouts : (string, (Layout.t * string, string) result) Ccache.t;
       (* the layout and its rendering, the layout half of the memo key *)
-  lowerings : Jit.lowering Ccache.t;
+  lowerings : Jit.store;
 }
 
 (* holds every distinct lowering of the largest catalog program
@@ -84,10 +93,24 @@ type program = {
 let plan_store_capacity = 8192
 
 let compile_program (options : options) (w : Workload.t) =
-  let table () = Ccache.create ~capacity:plan_store_capacity () in
+  let capacity = plan_store_capacity in
+  let plans () =
+    {
+      packed = Ccache.create ~capacity ~equal:Int.equal ();
+      exact = Ccache.create ~capacity ~equal:String.equal ();
+    }
+  in
   Result.map
     (fun fb ->
-      { fb; worksets = table (); domains = table (); layouts = table (); lowerings = table () })
+      let rec bits b = if 1 lsl b >= Fat_binary.region_count fb then b else bits (b + 1) in
+      {
+        fb;
+        region_bits = bits 0;
+        worksets = plans ();
+        domains = plans ();
+        layouts = Ccache.create ~capacity ~equal:String.equal ();
+        lowerings = Jit.store_create ~capacity ();
+      })
     (Fat_binary.compile ~optimize:options.optimize w.prog)
 
 (* ---- process-wide compile cache (batch / bench paths) ----
@@ -101,7 +124,7 @@ let compile_program (options : options) (w : Workload.t) =
    cross-domain sharing safe. Off by default ([share_compile]): single runs
    and golden traces behave exactly as before. *)
 
-let compile_cache : (program, string) result Ccache.t = Ccache.create ()
+let compile_cache : (string, (program, string) result) Ccache.t = Ccache.create ()
 
 (* The marshalled bytes are exact (every float constant bit for bit) and
    canonical: programs are trees of plain data with [Symaff] kept in
@@ -140,7 +163,9 @@ let plan_store_stats () =
   Ccache.fold
     (fun _ p acc ->
       match p with
-      | Ok p -> acc |> add p.worksets |> add p.domains |> add p.layouts |> add p.lowerings
+      | Ok p ->
+        acc |> add p.worksets.packed |> add p.worksets.exact |> add p.domains.packed
+        |> add p.domains.exact |> add p.layouts |> add p.lowerings
       | Error _ -> acc)
     compile_cache (0, 0, 0)
 
@@ -300,21 +325,23 @@ type state = {
   bd : Breakdown.t;
   events : Energy.events;
   memo : Jit.memo;
-  (* each kernel's layout, chosen at its first in-memory invocation of the
-     run and kept for the rest of it *)
-  layouts : (string, (Layout.t * string, string) result) Hashtbl.t;
+  (* Per region, by its index: its layout, chosen at its first in-memory
+     invocation of the run and kept for the rest of it; its timeline
+     entry; whether it ran on the cores yet; its decision row. The orders
+     list regions as they first got an entry. *)
+  layouts : (Layout.t * string, string) result option array;
   residency : Residency.t;
-  timeline : (string, timeline_acc) Hashtbl.t;
-  mutable timeline_order : string list;
+  timeline : timeline_acc option array;
+  mutable timeline_order : Fat_binary.region list;
   mutable in_mem_elems : float;
   mutable other_elems : float;
   mutable jit_invocations : int;
   mutable jit_cycles_total : float;
   mutable jit_commands : int;
   mutable jit_nonmemo : int;
-  seen_kernels : (string, unit) Hashtbl.t;
-  decisions : (string, decision_acc) Hashtbl.t;
-  mutable decisions_order : string list;
+  seen_on_core : bool array;
+  decisions : decision_acc option array;
+  mutable decisions_order : Fat_binary.region list;
 }
 
 let cfgv st = st.opts.cfg
@@ -360,20 +387,20 @@ let charge st cat v =
 (* Per kernel, cycles are accumulated per execution target; the report
    shows the dominant target (a region can change sides across host-loop
    iterations, e.g. gauss's shrinking trailing matrix). *)
-let note_timeline st kname where cycles =
+let note_timeline st (region : Fat_binary.region) where cycles =
   if Obs.on st.obs then
     Obs.emit st.obs
       (Trace.Region_exec
-         { kernel = kname; where = Report.where_to_string where; cycles });
+         { kernel = region.kernel.Ast.kname; where = Report.where_to_string where; cycles });
   let acc =
-    match Hashtbl.find st.timeline kname with
-    | acc -> acc
-    | exception Not_found ->
+    match st.timeline.(region.index) with
+    | Some acc -> acc
+    | None ->
       let acc =
         { cycles = { on_core = 0.0; near_mem = 0.0; in_mem = 0.0 }; wheres = [] }
       in
-      Hashtbl.replace st.timeline kname acc;
-      st.timeline_order <- st.timeline_order @ [ kname ];
+      st.timeline.(region.index) <- Some acc;
+      st.timeline_order <- st.timeline_order @ [ region ];
       acc
   in
   if not (List.mem where acc.wheres) then acc.wheres <- where :: acc.wheres;
@@ -388,9 +415,10 @@ let where_cycles c = function
   | Report.Near_mem -> c.near_mem
   | Report.In_mem -> c.in_mem
 
-let note_decision_raw st kname ~target ~core_cycles ~imc_cycles ~reason =
-  match Hashtbl.find st.decisions kname with
-  | acc -> (
+let note_decision_raw st (region : Fat_binary.region) ~target ~core_cycles ~imc_cycles
+    ~reason =
+  match st.decisions.(region.index) with
+  | Some acc -> (
     match List.find_opt (fun c -> c.v_target = target) acc.d_counts with
     | Some c -> c.v_n <- c.v_n + 1
     | None ->
@@ -398,19 +426,20 @@ let note_decision_raw st kname ~target ~core_cycles ~imc_cycles ~reason =
         List.sort
           (fun a b -> compare a.v_target b.v_target)
           ({ v_target = target; v_n = 1 } :: acc.d_counts))
-  | exception Not_found ->
-    st.decisions_order <- st.decisions_order @ [ kname ];
-    Hashtbl.replace st.decisions kname
-      {
-        d_target = target;
-        d_core = core_cycles;
-        d_imc = imc_cycles;
-        d_reason = reason;
-        d_counts = [ { v_target = target; v_n = 1 } ];
-      }
+  | None ->
+    st.decisions_order <- st.decisions_order @ [ region ];
+    st.decisions.(region.index) <-
+      Some
+        {
+          d_target = target;
+          d_core = core_cycles;
+          d_imc = imc_cycles;
+          d_reason = reason;
+          d_counts = [ { v_target = target; v_n = 1 } ];
+        }
 
-let note_decision st kname (v : Decision.verdict) =
-  note_decision_raw st kname
+let note_decision st region (v : Decision.verdict) =
+  note_decision_raw st region
     ~target:(Decision.target_name v.Decision.target)
     ~core_cycles:v.Decision.core_cycles ~imc_cycles:v.Decision.imc_cycles
     ~reason:v.Decision.reason
@@ -427,28 +456,50 @@ let array_bytes st name =
 
 (* ---- plans ----
 
-   A plan key is the kernel name, a NUL (names never hold one), then 8
-   bytes per int: the values of the variables the derivation reads (the
-   region's [ws_vars] or [dom_vars], fixed at compile time) followed by
-   any [extra] inputs. Equal keys imply an identical derivation. *)
+   A plan key is the region's index plus the values of the variables the
+   derivation reads (the region's [ws_vars] or [dom_vars], fixed at compile
+   time). When each of the n values fits in [(62 - region_bits) / n] bits,
+   the key is one non-negative int: the index in the low [region_bits]
+   bits, then the values. Given its region, such a key decodes uniquely.
+   A negative or wider value takes the exact key instead, in a table of
+   its own: 8 bytes per int, the index first, then the values and any
+   [extra] inputs. Equal keys imply an identical derivation. *)
 
-let plan_key ?(extra = []) st (region : Fat_binary.region) vars =
-  let kname = region.kernel.Ast.kname in
-  let n = String.length kname + 1 and nv = Array.length vars in
-  let b = Bytes.create (n + (8 * (nv + List.length extra))) in
-  Bytes.blit_string kname 0 b 0 (n - 1);
-  Bytes.set b (n - 1) '\000';
-  let set i x = Bytes.set_int64_ne b (n + (8 * i)) (Int64.of_int x) in
-  Array.iteri (fun i v -> set i (Interp.lookup_int st.env v)) vars;
-  List.iteri (fun i x -> set (nv + i) x) extra;
+let packed_key st (region : Fat_binary.region) vars =
+  let n = Array.length vars and bits = st.program.region_bits in
+  let width = if n = 0 then 0 else (62 - bits) / n in
+  let key = ref region.index and i = ref 0 in
+  while !i < n do
+    let v = Interp.lookup_int st.env (Array.unsafe_get vars !i) in
+    if v lsr width <> 0 then begin
+      key := -1;
+      i := n
+    end
+    else begin
+      key := !key lor (v lsl (bits + (!i * width)));
+      incr i
+    end
+  done;
+  !key
+
+let exact_key ?(extra = []) st (region : Fat_binary.region) vars =
+  let nv = Array.length vars in
+  let b = Bytes.create (8 * (1 + nv + List.length extra)) in
+  let set i x = Bytes.set_int64_ne b (8 * i) (Int64.of_int x) in
+  set 0 region.index;
+  Array.iteri (fun i v -> set (1 + i) (Interp.lookup_int st.env v)) vars;
+  List.iteri (fun i x -> set (1 + nv + i) x) extra;
   Bytes.unsafe_to_string b
 
+let plan st plans (region : Fat_binary.region) vars compute =
+  let key = packed_key st region vars in
+  if key >= 0 then Ccache.get plans.packed key compute
+  else Ccache.get plans.exact (exact_key st region vars) compute
+
 let workset_of st (region : Fat_binary.region) =
-  let key = plan_key st region region.ws_vars in
-  fst
-    (Ccache.find_or_compute st.program.worksets ~key (fun () ->
-         Workset.resolve region.info ~env:(Interp.lookup_int st.env)
-           ~arrays:(concrete_arrays st)))
+  plan st st.program.worksets region region.ws_vars (fun () ->
+      Workset.resolve region.info ~env:(Interp.lookup_int st.env)
+        ~arrays:(concrete_arrays st))
 
 (* ----- core / near-memory execution of one kernel invocation ----- *)
 
@@ -470,10 +521,8 @@ let run_core_body st ~threads ~(w : Workset.t) (region : Fat_binary.region) =
         acc +. Residency.touch_any st.residency s.array ~bytes)
       0.0 w.streams
   in
-  let first_invocation =
-    not (Hashtbl.mem st.seen_kernels region.kernel.Ast.kname)
-  in
-  Hashtbl.replace st.seen_kernels region.kernel.Ast.kname ();
+  let first_invocation = not st.seen_on_core.(region.index) in
+  st.seen_on_core.(region.index) <- true;
   let r =
     Corem.run (cfgv st) st.traffic w ~threads ~cold_bytes:cold ~first_invocation
   in
@@ -485,7 +534,7 @@ let run_core_body st ~threads ~(w : Workset.t) (region : Fat_binary.region) =
   st.events.Energy.dram_bytes <- st.events.Energy.dram_bytes +. cold;
   st.events.Energy.l3_bytes <- st.events.Energy.l3_bytes +. Workset.touched_bytes w;
   st.other_elems <- st.other_elems +. w.flops;
-  note_timeline st region.kernel.Ast.kname Report.On_core r.Corem.cycles;
+  note_timeline st region Report.On_core r.Corem.cycles;
   if st.opts.functional then Interp.exec_kernel st.env region.kernel
 
 let run_core st ~threads ~w region =
@@ -510,7 +559,7 @@ let run_near_body st ~(w : Workset.t) (region : Fat_binary.region) =
   st.events.Energy.dram_bytes <- st.events.Energy.dram_bytes +. cold;
   st.events.Energy.l3_bytes <- st.events.Energy.l3_bytes +. Workset.touched_bytes w;
   st.other_elems <- st.other_elems +. w.flops;
-  note_timeline st region.kernel.Ast.kname Report.Near_mem r.Near.cycles;
+  note_timeline st region Report.Near_mem r.Near.cycles;
   if r.Near.watchdog then false
   else begin
     if st.opts.functional then Interp.exec_kernel st.env region.kernel;
@@ -567,8 +616,7 @@ let region_shape st (region : Fat_binary.region) =
    dtype are fixed per compiled program (the compile cache keys programs
    on the config), so equal keys imply an identical choice. *)
 let layout_for st (region : Fat_binary.region) =
-  let kname = region.kernel.Ast.kname in
-  match Hashtbl.find_opt st.layouts kname with
+  match st.layouts.(region.index) with
   | Some l -> l
   | None ->
     let tile = match st.opts.tile_override with Some t -> t | None -> [||] in
@@ -580,9 +628,8 @@ let layout_for st (region : Fat_binary.region) =
         (Tdfg.outputs region.optimized)
     in
     let extra = (Array.length tile :: Array.to_list tile) @ dims in
-    let l, _ =
-      Ccache.find_or_compute st.program.layouts
-        ~key:(plan_key ~extra st region region.dom_vars)
+    let l =
+      Ccache.get st.program.layouts (exact_key ~extra st region region.dom_vars)
         (fun () ->
           let shape = region_shape st region in
           let elems_per_line =
@@ -599,49 +646,24 @@ let layout_for st (region : Fat_binary.region) =
           in
           Result.map (fun l -> (l, Layout.to_string l)) l)
     in
-    Hashtbl.replace st.layouts kname l;
+    st.layouts.(region.index) <- Some l;
     l
 
-(* Resolved domain of every live node, indexed by node id — one resolution
-   sweep per plan, shared by the Eq. 2 [elems] estimate, the JIT memo-key
-   signature, and the lowering itself. Returns the doms array plus the
-   memo-key domain signature (the concatenated per-node
-   [Hyperrect.buf_add] bytes). *)
-let doms_of st (region : Fat_binary.region) =
-  let key = plan_key st region region.dom_vars in
-  fst
-    (Ccache.find_or_compute st.program.domains ~key (fun () ->
-         let g = region.optimized in
-         let doms = Array.make (Tdfg.node_count g) None in
-         let env = Interp.lookup_int st.env in
-         Array.iter
-           (fun id ->
-             match Tdfg.domain g id with
-             | Tdfg.Finite r -> doms.(id) <- Some (Symrect.resolve r env)
-             | Tdfg.Infinite -> ())
-           region.live;
-         let buf = Buffer.create 96 in
-         Array.iter
-           (fun id ->
-             match doms.(id) with
-             | Some rect -> Hyperrect.buf_add buf rect
-             | None -> ())
-           region.live;
-         (doms, Buffer.contents buf)))
-
-(* The JIT memo key: kernel name + resolved lattice domains + layout,
-   '|'-separated — byte-identical to the former
-   [Printf.sprintf "%s|%s|%s"] over a per-node [Hyperrect.to_string]
-   signature (resolved bounds of runtime scalars are irrelevant to
-   lowering; the key covers exactly the inputs lowering depends on). *)
-let memo_key (region : Fat_binary.region) ~layout_str ~dsig =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf region.kernel.Ast.kname;
-  Buffer.add_char buf '|';
-  Buffer.add_string buf dsig;
-  Buffer.add_char buf '|';
-  Buffer.add_string buf layout_str;
-  Buffer.contents buf
+(* Resolved domain of every live node — one resolution sweep per plan,
+   shared by the Eq. 2 [elems] estimate, the JIT memo key's signature
+   (hashed here, once per plan), and the lowering itself. *)
+let domains_of st (region : Fat_binary.region) =
+  plan st st.program.domains region region.dom_vars (fun () ->
+      let g = region.optimized in
+      let doms = Array.make (Tdfg.node_count g) None in
+      let env = Interp.lookup_int st.env in
+      Array.iter
+        (fun id ->
+          match Tdfg.domain g id with
+          | Tdfg.Finite r -> doms.(id) <- Some (Symrect.resolve r env)
+          | Tdfg.Infinite -> ())
+        region.live;
+      { doms; sg = Jit.signature ~region:region.index ~live:region.live doms })
 
 (* Near-memory (or core) cost of the embedded streams and final reduce of
    an in-memory region. *)
@@ -681,8 +703,8 @@ let hybrid_cost st ~stream_elems ~final_reduce_elems =
       st.events.Energy.sel3_flops +. stream_elems +. final_reduce_elems;
     `Near (stream_cycles, fr_cycles)
 
-let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
-    (layout, layout_str) (schedule : Schedule.t) =
+let run_in_memory_body st ~w ~dp (region : Fat_binary.region) (layout, layout_str)
+    (schedule : Schedule.t) =
   let cfg = cfgv st in
   let g = region.optimized in
   (* 1. prepare transposed data (only the touched region of each array) *)
@@ -720,13 +742,12 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
   st.events.Energy.dram_bytes <- st.events.Energy.dram_bytes +. !dram_bytes;
   st.events.Energy.l3_bytes <- st.events.Energy.l3_bytes +. !transpose_bytes;
   (* 2. JIT lower (memoized) *)
-  let key = memo_key region ~layout_str ~dsig in
   let cmds, jst =
     (* span count == [jit_invocations] (memo hits included — the memoized
        lookup is itself JIT-phase work) *)
     Prof.span (profv st) "jit" (fun () ->
-        Jit.lower_memo ~obs:st.obs ~doms st.memo ~store:st.program.lowerings
-          ~key cfg g ~schedule ~layout
+        Jit.lower_memo ~obs:st.obs ~doms:dp.doms st.memo ~store:st.program.lowerings
+          ~kernel:region.kernel.Ast.kname dp.sg cfg g ~schedule ~layout ~layout_str
           ~env:(Interp.lookup_int st.env))
   in
   st.jit_invocations <- st.jit_invocations + 1;
@@ -752,7 +773,7 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
        partial command cycles above stay charged (they were really spent);
        the functional effect is NOT applied — the caller retries or
        re-targets so it is applied exactly once *)
-    note_timeline st region.kernel.Ast.kname Report.In_mem
+    note_timeline st region Report.In_mem
       (prep +. jit_cycles +. r.Imc.move_cycles +. r.sync_cycles
      +. r.Imc.compute_cycles);
     false
@@ -775,15 +796,14 @@ let run_in_memory_body st ~w ~doms ~dsig (region : Fat_binary.region)
       prep +. jit_cycles +. r.Imc.move_cycles +. r.sync_cycles
       +. r.Imc.compute_cycles +. hybrid_cycles
     in
-    note_timeline st region.kernel.Ast.kname Report.In_mem total;
+    note_timeline st region Report.In_mem total;
     (* 5. functional evaluation through the tDFG *)
     if st.opts.functional then Tdfg_eval.eval g st.env;
     true
   end
 
-let run_in_memory st ~w ~doms ~dsig region layout schedule =
-  Prof.span (profv st) "imc" (fun () ->
-      run_in_memory_body st ~w ~doms ~dsig region layout schedule)
+let run_in_memory st ~w ~dp region layout schedule =
+  Prof.span (profv st) "imc" (fun () -> run_in_memory_body st ~w ~dp region layout schedule)
 
 (* ----- fault mitigation ----- *)
 
@@ -835,14 +855,13 @@ let exec_near st ~w (region : Fat_binary.region) =
    make retries much cheaper than first attempts), then re-lower the region
    to the paradigm's fallback target — near-memory for Inf-S, core for
    In-L3 — via the same §4.3 decision machinery, visibly in the trace. *)
-let exec_in_memory st ~w ~doms ~dsig (region : Fat_binary.region) layout
-    schedule =
+let exec_in_memory st ~w ~dp (region : Fat_binary.region) layout schedule =
   match st.faults with
-  | None -> ignore (run_in_memory st ~w ~doms ~dsig region layout schedule : bool)
+  | None -> ignore (run_in_memory st ~w ~dp region layout schedule : bool)
   | Some fi ->
     let kname = region.Fat_binary.kernel.Ast.kname in
     with_retries st fi ~site:"sram" ~kname
-      (fun () -> run_in_memory st ~w ~doms ~dsig region layout schedule)
+      (fun () -> run_in_memory st ~w ~dp region layout schedule)
       ~fallback:(fun () ->
         let target = if st.paradigm = In_l3 then "core" else "near-memory" in
         Decision.fault_fallback ~obs:st.obs ~kernel:kname ~site:"sram" ~target ();
@@ -852,11 +871,13 @@ let exec_in_memory st ~w ~doms ~dsig (region : Fat_binary.region) layout
 
 (* ----- per-kernel dispatch ----- *)
 
+(* The one lookup by name of an invocation: everything after it goes by
+   the region's index. *)
 let on_kernel st _env (k : Ast.kernel) =
   let region =
-    match Fat_binary.region_of st.program.fb k.Ast.kname with
-    | Some r -> r
-    | None -> failwith ("unknown kernel region " ^ k.Ast.kname)
+    match Hashtbl.find st.program.fb.Fat_binary.by_name k.Ast.kname with
+    | r -> r
+    | exception Not_found -> failwith ("unknown kernel region " ^ k.Ast.kname)
   in
   let w = workset_of st region in
   match st.paradigm with
@@ -873,7 +894,7 @@ let on_kernel st _env (k : Ast.kernel) =
        decision table; no trace event is emitted (the decision machinery
        did not run), so golden traces are unchanged *)
     let fallback_noted reason =
-      note_decision_raw st k.Ast.kname
+      note_decision_raw st region
         ~target:(if st.paradigm = In_l3 then "core" else "near-memory")
         ~core_cycles:0.0 ~imc_cycles:0.0 ~reason;
       fallback ()
@@ -889,7 +910,7 @@ let on_kernel st _env (k : Ast.kernel) =
         | Error e -> fallback_noted ("no valid transposed layout: " ^ e)
         | Ok layout ->
           let g = region.optimized in
-          let doms, dsig = doms_of st region in
+          let dp = domains_of st region in
           let decide ov =
             let elems =
               (* data parallelism: the largest finite node domain. Computed
@@ -897,7 +918,7 @@ let on_kernel st _env (k : Ast.kernel) =
                  never consults Eq. 2, skips the volume sweep entirely. *)
               Array.fold_left
                 (fun acc id ->
-                  match doms.(id) with
+                  match dp.doms.(id) with
                   | Some rect ->
                     Float.max acc (float_of_int (Hyperrect.volume rect))
                   | None -> acc)
@@ -925,14 +946,14 @@ let on_kernel st _env (k : Ast.kernel) =
                Eq. 2, keeping traces and reports byte-identical. *)
             match override with
             | Decision.Auto | Decision.Force_imc ->
-              exec_in_memory st ~w ~doms ~dsig region layout schedule
+              exec_in_memory st ~w ~dp region layout schedule
             | Decision.Force_core ->
-              note_decision st k.Ast.kname (decide Decision.Force_core);
+              note_decision st region (decide Decision.Force_core);
               fallback ()
           end
           else begin
             let verdict = decide override in
-            note_decision st k.Ast.kname verdict;
+            note_decision st region verdict;
             Logs.debug (fun m ->
                 m "eq2 %s: core=%.3e imc=%.3e -> %s" k.Ast.kname
                   verdict.Decision.core_cycles verdict.imc_cycles
@@ -940,7 +961,7 @@ let on_kernel st _env (k : Ast.kernel) =
                   | Decision.In_memory -> "in-mem"
                   | Decision.Near_memory -> "near"));
             match verdict.Decision.target with
-            | Decision.In_memory -> exec_in_memory st ~w ~doms ~dsig region layout schedule
+            | Decision.In_memory -> exec_in_memory st ~w ~dp region layout schedule
             | Decision.Near_memory -> fallback ()
           end
       end
@@ -995,6 +1016,7 @@ let run_with obs options paradigm (w : Workload.t) compiled =
             (Fault.create options.faults
                ~scope:(w.wname ^ "|" ^ paradigm_to_string paradigm))
       in
+      let regions = Fat_binary.region_count program.fb in
       let st =
         {
           opts = options;
@@ -1009,10 +1031,10 @@ let run_with obs options paradigm (w : Workload.t) compiled =
           fault_wasted = 0.0;
           bd = Breakdown.zero ();
           events = Energy.fresh ();
-          memo = Jit.memo_create ();
-          layouts = Hashtbl.create 8;
+          memo = Jit.memo_create ~regions;
+          layouts = Array.make regions None;
           residency = Residency.create options.cfg;
-          timeline = Hashtbl.create 8;
+          timeline = Array.make regions None;
           timeline_order = [];
           in_mem_elems = 0.0;
           other_elems = 0.0;
@@ -1020,8 +1042,8 @@ let run_with obs options paradigm (w : Workload.t) compiled =
           jit_cycles_total = 0.0;
           jit_commands = 0;
           jit_nonmemo = 0;
-          seen_kernels = Hashtbl.create 16;
-          decisions = Hashtbl.create 8;
+          seen_on_core = Array.make regions false;
+          decisions = Array.make regions None;
           decisions_order = [];
         }
       in
@@ -1092,8 +1114,8 @@ let run_with obs options paradigm (w : Workload.t) compiled =
              jit;
              timeline =
                List.map
-                 (fun k ->
-                   let acc = Hashtbl.find st.timeline k in
+                 (fun (region : Fat_binary.region) ->
+                   let acc = Option.get st.timeline.(region.index) in
                    let parts =
                      List.map (fun w -> (w, where_cycles acc.cycles w)) acc.wheres
                    in
@@ -1104,7 +1126,7 @@ let run_with obs options paradigm (w : Workload.t) compiled =
                        parts
                    in
                    let cyc = List.fold_left (fun a (_, c) -> a +. c) 0.0 parts in
-                   { Report.kernel = k; where; cycles = cyc })
+                   { Report.kernel = region.kernel.Ast.kname; where; cycles = cyc })
                  st.timeline_order;
              in_mem_op_fraction =
                (let total = st.in_mem_elems +. st.other_elems in
@@ -1112,10 +1134,10 @@ let run_with obs options paradigm (w : Workload.t) compiled =
              correctness;
              decisions =
                List.map
-                 (fun kname ->
-                   let acc = Hashtbl.find st.decisions kname in
+                 (fun (region : Fat_binary.region) ->
+                   let acc = Option.get st.decisions.(region.index) in
                    {
-                     Report.kernel = kname;
+                     Report.kernel = region.kernel.Ast.kname;
                      target = acc.d_target;
                      core_cycles = acc.d_core;
                      imc_cycles = acc.d_imc;

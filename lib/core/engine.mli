@@ -143,10 +143,13 @@ val plan_store_stats : unit -> int * int * int
 (** [(hits, misses, evictions)] summed over the plan stores of the
     programs in the compile cache. A cached program carries one store
     (worksets, resolved domains, layouts and JIT lowerings, each table
-    bounded and reset when full) shared by every run of it on any domain;
-    a private compile's store dies with its run and is not counted. The
-    counts depend on scheduling, so they belong on stderr, never in
-    reports, traces or metrics. *)
+    bounded by {!plan_store_capacity} and reset when full) shared by every
+    run of it on any domain; a private compile's store dies with its run
+    and is not counted. The counts depend on scheduling, so they belong on
+    stderr, never in reports, traces or metrics. *)
+
+val plan_store_capacity : int
+(** Entries one plan store table holds before it is reset. *)
 
 val run : ?options:options -> paradigm -> Workload.t -> (Report.t, string) result
 

@@ -257,7 +257,7 @@ let lower_output ctx schedule o =
 
 let lower ?doms cfg g ~schedule ~layout ~env =
   (* [doms]: resolved domains indexed by node id, precomputed by the engine
-     (which needs them for the memo-key signature anyway). Without it,
+     (which needs them for the memo key's signature anyway). Without it,
      domains are resolved on demand through [env] — same values, since
      resolution is a pure function of the graph and the environment. *)
   let dom =
@@ -315,54 +315,96 @@ let lower ?doms cfg g ~schedule ~layout ~env =
 
 type lowering = Command.t array * stats
 
+(* The resolved live domains of one invocation of a region, as the
+   per-node [Hyperrect.buf_add] bytes concatenated, with the region's
+   index. Neither a kernel name nor a '|' occurs in the bytes, so two
+   signatures under one layout are equal exactly when the former
+   [kernel|dsig|layout] memo keys were. *)
+type signature = { region : int; dsig : string; hash : int }
+
+let signature ~region ~live doms =
+  let buf = Buffer.create 96 in
+  Array.iter
+    (fun id -> match doms.(id) with Some rect -> Hyperrect.buf_add buf rect | None -> ())
+    live;
+  let dsig = Buffer.contents buf in
+  { region; dsig; hash = Hashtbl.hash (region, dsig) }
+
+let same_signature a b =
+  a == b || (a.hash = b.hash && a.region = b.region && String.equal a.dsig b.dsig)
+
+module Sigtbl = Hashtbl.Make (struct
+  type t = signature
+
+  let equal = same_signature
+  let hash s = s.hash
+end)
+
+type store = (signature * string, lowering) Ccache.t
+
+let store_create ?capacity () : store =
+  Ccache.create ?capacity
+    ~hash:(fun (s, layout) -> (s.hash * 31) + Hashtbl.hash layout)
+    ~equal:(fun (s, layout) (s', layout') -> same_signature s s' && String.equal layout layout')
+    ()
+
+(* Per signature, the lowerings of the layouts it was lowered under in
+   this run (one, as the engine keeps a region's layout for the run),
+   each stored as a hit returns it. [warm] holds, per region index,
+   whether the region's entry cost was paid. *)
 type memo = {
-  table : (string, lowering) Hashtbl.t;
-  warm_regions : (string, unit) Hashtbl.t;
+  table : (string * lowering) list Sigtbl.t;
+  warm : bool array;
   mutable hits : int;
   mutable misses : int;
 }
 
-let memo_create () =
-  { table = Hashtbl.create 64; warm_regions = Hashtbl.create 8; hits = 0; misses = 0 }
+let memo_create ~regions =
+  { table = Sigtbl.create 64; warm = Array.make regions false; hits = 0; misses = 0 }
 
 let memo_lookup_cycles = 200.0
 
-(* The per-region entry cost (template instantiation, array-dimension
-   specialization, §4.2) is paid once; re-lowering the same region with new
-   parameters only maps the pre-scheduled tDFG onto the layout. *)
-let region_of_key key =
-  match String.index_opt key '|' with
-  | Some i -> String.sub key 0 i
-  | None -> key
+let rec find_layout layout_str = function
+  | [] -> raise Not_found
+  | (l, lowering) :: rest ->
+    if l == layout_str || String.equal l layout_str then lowering
+    else find_layout layout_str rest
+
+(* The trace's memo key; built only for an event. *)
+let event_key ~kernel sg layout_str = String.concat "|" [ kernel; sg.dsig; layout_str ]
 
 (* The per-run memo decides the charge (the first lookup of a key in a
    run pays full [jit_cycles], later ones [memo_lookup_cycles]) and emits
    the trace events; [store] only saves the host-side work of lowering a
    key that an earlier run of the same compiled program already lowered.
+   The per-region entry cost (template instantiation, array-dimension
+   specialization, §4.2) is paid once per run; re-lowering the same region
+   with new parameters only maps the pre-scheduled tDFG onto the layout.
    [lower] is a pure function of the machine config, the scheduled graph
-   and the resolved domains + layout, which [key] encodes for a fixed
-   region and config, so simulated cycles and traces do not depend on
-   what the store holds. *)
-let lower_memo ?(obs = Obs.null) ?doms memo ~store ~key cfg g ~schedule ~layout
-    ~env =
-  match Hashtbl.find_opt memo.table key with
-  | Some (cmds, st) ->
+   and the resolved domains + layout, which the signature and [layout_str]
+   encode for a fixed config, so simulated cycles and traces do not
+   depend on what the store holds. *)
+let lower_memo ?(obs = Obs.null) ?doms memo ~store ~kernel sg cfg g ~schedule ~layout
+    ~layout_str ~env =
+  let seen = match Sigtbl.find memo.table sg with l -> l | exception Not_found -> [] in
+  match find_layout layout_str seen with
+  | hit ->
     memo.hits <- memo.hits + 1;
-    if Obs.on obs then Obs.emit obs (Trace.Memo { key; hit = true });
-    (cmds, { st with jit_cycles = memo_lookup_cycles; memoized = true })
-  | None ->
+    if Obs.on obs then
+      Obs.emit obs (Trace.Memo { key = event_key ~kernel sg layout_str; hit = true });
+    hit
+  | exception Not_found ->
     memo.misses <- memo.misses + 1;
-    let region = region_of_key key in
     if Obs.on obs then begin
-      Obs.emit obs (Trace.Memo { key; hit = false });
-      Obs.emit obs (Trace.Jit_span { dir = Trace.Enter; region; commands = 0; cycles = 0.0 })
+      Obs.emit obs (Trace.Memo { key = event_key ~kernel sg layout_str; hit = false });
+      Obs.emit obs
+        (Trace.Jit_span { dir = Trace.Enter; region = kernel; commands = 0; cycles = 0.0 })
     end;
-    let (cmds, st), _ =
-      Ccache.find_or_compute store ~key (fun () ->
-          lower ?doms cfg g ~schedule ~layout ~env)
+    let cmds, st =
+      Ccache.get store (sg, layout_str) (fun () -> lower ?doms cfg g ~schedule ~layout ~env)
     in
     let st =
-      if Hashtbl.mem memo.warm_regions region then
+      if memo.warm.(sg.region) then
         {
           st with
           jit_cycles =
@@ -370,20 +412,16 @@ let lower_memo ?(obs = Obs.null) ?doms memo ~store ~key cfg g ~schedule ~layout
             +. memo_lookup_cycles;
         }
       else begin
-        Hashtbl.replace memo.warm_regions region ();
+        memo.warm.(sg.region) <- true;
         st
       end
     in
     if Obs.on obs then
       Obs.emit obs
         (Trace.Jit_span
-           {
-             dir = Trace.Exit;
-             region;
-             commands = st.commands;
-             cycles = st.jit_cycles;
-           });
-    Hashtbl.replace memo.table key (cmds, st);
+           { dir = Trace.Exit; region = kernel; commands = st.commands; cycles = st.jit_cycles });
+    let hit = (cmds, { st with jit_cycles = memo_lookup_cycles; memoized = true }) in
+    Sigtbl.replace memo.table sg ((layout_str, hit) :: seen);
     (cmds, st)
 
 let memo_hits m = m.hits

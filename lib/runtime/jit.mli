@@ -36,37 +36,58 @@ val lower :
   Command.t array * stats
 (** Lower one region instance. [env] resolves parameters and enclosing
     host-loop variables. [doms], when given, supplies the already-resolved
-    domain of every live node indexed by id (the engine computes them once
-    per invocation for the memo-key signature); [env] is then unused. *)
+    domain of every live node indexed by id (the engine's domain plan,
+    which also yields the memo key's {!signature}); [env] is then
+    unused. *)
 
 (** {1 Memoization (paper §4.2 "Reducing JIT Overheads")} *)
 
+type lowering = Command.t array * stats
+
+type signature
+(** The identity of one invocation's resolved live domains: the region's
+    index and the per-node {!Hyperrect.buf_add} bytes, hashed once when
+    it is built. *)
+
+val signature : region:int -> live:Tdfg.id array -> Hyperrect.t option array -> signature
+(** [signature ~region ~live doms] over the domains of the [live] nodes,
+    [doms] indexed by node id. *)
+
+type store = (signature * string, lowering) Ccache.t
+(** A compiled program's lowering table, shared across runs and domains:
+    the lowering of each (signature, rendered layout). *)
+
+val store_create : ?capacity:int -> unit -> store
+
 type memo
 
-val memo_create : unit -> memo
-
-type lowering = Command.t array * stats
+val memo_create : regions:int -> memo
+(** A run's memo, for region indices [0] to [regions - 1]. *)
 
 val lower_memo :
   ?obs:Obs.t ->
   ?doms:Hyperrect.t option array ->
   memo ->
-  store:lowering Ccache.t ->
-  key:string ->
+  store:store ->
+  kernel:string ->
+  signature ->
   Machine_config.t ->
   Tdfg.t ->
   schedule:Schedule.t ->
   layout:Layout.t ->
+  layout_str:string ->
   env:(string -> int) ->
   lowering
-(** Like {!lower} but reuses the command array when the same [key] (region
-    name + resolved parameters + layout) was lowered before in this run;
-    memoized hits charge only a small lookup cost and set [memoized].
-    Emits a [Memo] event per lookup and an [Enter]/[Exit] [Jit_span] pair
-    around each actual lowering through [obs] (default {!Obs.null}),
-    which folds them into the memo and lowering series. A lowering the
-    run has not seen is taken from [store] — the compiled program's
-    lowering table, shared across runs and domains, keyed by [key] — and
+(** Like {!lower} but reuses the command array when the same signature
+    was lowered under the same layout ([layout_str] is its rendering)
+    before in this run; memoized hits charge only a small lookup cost and
+    set [memoized]. The first lowering of a region in a run pays the
+    region's entry cost, later ones do not. Emits a [Memo] event per
+    lookup, keyed [kernel|signature bytes|layout_str], and an
+    [Enter]/[Exit] [Jit_span] pair for [kernel] around each actual
+    lowering through [obs] (default {!Obs.null}), which folds them into
+    the memo and lowering series; the key is rendered only when [obs] is
+    on. A lowering the run has not seen is taken from [store], and
     lowered and published there on a miss. The run's charges and events
     are the same whatever [store] holds. *)
 

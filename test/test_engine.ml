@@ -357,6 +357,64 @@ let test_perf_runs_allocate_no_arrays () =
         (major1 -. major0 -. (promoted1 -. promoted0)))
     paradigms
 
+(* The JIT memo's identity is the resolved signature, not the variable
+   values: host loops [a] and [b] over 0..2 run a kernel whose domain is
+   [0, N - 4 + a + b), so nine invocations resolve to five signatures and
+   four of them are memo hits, charged [memo_lookup_cycles]. Values pinned
+   from string-keyed memos. *)
+let test_jit_memo_keyed_by_signature () =
+  let w =
+    let open Ast in
+    let nv = Symaff.var "N" in
+    let x = load "X" [ i "i" ] in
+    W.make ~name:"ab_sum" ~params:[ ("N", 1_048_576) ] ~inputs:(lazy [])
+      (program ~name:"ab_sum" ~params:[ "N" ]
+         ~arrays:[ array "X" Dtype.Fp32 [ nv ]; array "Y" Dtype.Fp32 [ nv ] ]
+         [
+           Host_loop
+             ( loop "a" (c 0) (c 3),
+               [
+                 Host_loop
+                   ( loop "b" (c 0) (c 3),
+                     [
+                       Kernel
+                         (kernel "ab_sum"
+                            [ loop "i" (c 0) (nv +! i "a" +! i "b" +% -4) ]
+                            [ store "Y" [ i "i" ] (((((x * x) + x) * x) + (x * fconst 3.0)) * x) ]);
+                     ] );
+               ] );
+         ])
+  in
+  List.iter
+    (fun (p, share_compile) ->
+      let r = E.run_exn ~options:{ E.default_options with share_compile } p w in
+      let name = Printf.sprintf "%s (shared %b)" (E.paradigm_to_string p) share_compile in
+      Alcotest.(check int) (name ^ ": invocations") 9 r.R.jit.R.invocations;
+      Alcotest.(check int) (name ^ ": memo hits") 4 r.R.jit.R.memo_hits;
+      Alcotest.(check (float 0.0)) (name ^ ": JIT cycles") 7940.0 r.R.jit.R.total_jit_cycles;
+      Alcotest.(check (float 0.0)) (name ^ ": cycles") 374454.75 r.R.cycles)
+    [ (E.In_l3, false); (E.In_l3, true); (E.Inf_s, false); (E.Inf_s, true) ]
+
+(* Warm dispatch allocates a fixed number of minor words: shared runs of
+   three test-scale programs at In-L3 and Inf-S, after one warm-up run
+   each, so every plan is stored. Like the e-graph's bound, the count is
+   exact on one compiler version; the bound leaves 2%. *)
+let test_warm_dispatch_allocation () =
+  let options = { E.default_options with share_compile = true } in
+  let find name = match Cat.find `Test name with Ok w -> w | Error e -> Alcotest.fail e in
+  let runs =
+    List.concat_map
+      (fun w -> List.map (fun p -> (p, w)) [ E.In_l3; E.Inf_s ])
+      [ find "gauss_elim"; find "mm/out"; Infs_workloads.Pointnet.tiny () ]
+  in
+  List.iter (fun (p, w) -> ignore (E.run_exn ~options p w)) runs;
+  let before = Gc.minor_words () in
+  List.iter (fun (p, w) -> ignore (E.run_exn ~options p w)) runs;
+  let words = Gc.minor_words () -. before in
+  let bound = 147_537.0 *. 1.02 in
+  if words > bound then
+    Alcotest.failf "warm shared runs allocated %.0f minor words > bound %.0f" words bound
+
 let suite =
   correctness_tests
   @ [
@@ -378,4 +436,6 @@ let suite =
       ("in-DRAM substrate sketch", `Quick, test_in_dram_substrate);
       ("duplicate kernel names rejected", `Quick, test_run_rejects_duplicate_kernel_names);
       ("performance-only runs allocate no arrays", `Quick, test_perf_runs_allocate_no_arrays);
+      ("jit memo keyed by the resolved signature", `Quick, test_jit_memo_keyed_by_signature);
+      ("warm dispatch allocation bound", `Quick, test_warm_dispatch_allocation);
     ]

@@ -540,6 +540,151 @@ let test_compile_key_rebuilt_catalog () =
     (Infs_workloads.Catalog.names `Test);
   E.compile_cache_clear ()
 
+(* Keys whose hashes all collide share one bucket of one shard: each
+   lookup still finds its own key's value, through the bucket growth that
+   the stores trigger. *)
+let test_ccache_colliding_hashes () =
+  let c = Ccache.create ~shards:2 ~hash:(fun _ -> 7) ~equal:Int.equal () in
+  for k = 0 to 99 do
+    Alcotest.(check int) "miss computes" (k * 3) (Ccache.get c k (fun () -> k * 3))
+  done;
+  for k = 99 downto 0 do
+    Alcotest.(check int) "hit finds its key" (k * 3) (Ccache.get c k (fun () -> Alcotest.fail "hit"))
+  done;
+  Alcotest.(check (list int)) "entries, hits, misses" [ 100; 100; 100 ]
+    [ Ccache.length c; Ccache.hits c; Ccache.misses c ];
+  Alcotest.(check (list int)) "fold in key order" (List.init 100 Fun.id)
+    (List.rev (Ccache.fold (fun k _ acc -> k :: acc) c []))
+
+(* ---- plan keys at the edges ---- *)
+
+let report_json r = Json.to_string (R.to_json r)
+
+(* Host loops [a] over -2..1 and [b] over BIG..BIG+1: kernel [wide]'s
+   domain reads a negative value and two values too wide to pack
+   together (BIG = 2^40), kernel [narrow]'s reads [a] and [N] only, so
+   its keys pack while [a] >= 0 and take the exact path while [a] < 0. *)
+let edge_keys ~n =
+  let prog =
+    let open Ast in
+    let nv = Symaff.var "N" and big = Symaff.var "BIG" in
+    let body = (* a dot of a few ops, heavy enough for Inf-S to offload *)
+      let x = load "X" [ i "i" ] in
+      ((((x * x) + x) * x) + (x * fconst 3.0)) * x
+    in
+    program ~name:"edge_keys" ~params:[ "N"; "BIG" ]
+      ~arrays:[ array "X" Dtype.Fp32 [ nv ]; array "Y" Dtype.Fp32 [ nv ]; array "Z" Dtype.Fp32 [ nv ] ]
+      [
+        Host_loop
+          ( loop "a" (c (-2)) (c 2),
+            [
+              Host_loop
+                ( loop "b" big (big +% 2),
+                  [
+                    Kernel
+                      (kernel "wide"
+                         [ loop "i" (c 0) (nv +! i "a" +! i "b" -! big +% -4) ]
+                         [ store "Y" [ i "i" ] body ]);
+                    Kernel
+                      (kernel "narrow" [ loop "i" (c 0) (nv +! i "a" +% -4) ] [ store "Z" [ i "i" ] body ]);
+                  ] );
+            ] );
+      ]
+  in
+  Infinity_stream.Workload.make ~name:"edge_keys"
+    ~params:[ ("N", n); ("BIG", 1 lsl 40) ]
+    ~inputs:(lazy []) prog
+
+let edge_paradigms = [ E.Base; E.Near_l3; E.In_l3; E.Inf_s ]
+
+(* Negative and wide values take the exact path: shared runs (the second
+   one warm) report byte-for-byte what private runs report, which is what
+   string-keyed plans reported (the digests of the report JSON). *)
+let test_plan_keys_exact_at_edges () =
+  let shared = { E.default_options with share_compile = true } in
+  E.compile_cache_clear ();
+  List.iter2
+    (fun p digest ->
+      let name = E.paradigm_to_string p in
+      let priv = report_json (E.run_exn p (edge_keys ~n:1_048_576)) in
+      Alcotest.(check string) (name ^ ": private report") digest
+        (Digest.to_hex (Digest.string priv));
+      for _ = 1 to 2 do
+        Alcotest.(check string) (name ^ ": shared == private") priv
+          (report_json (E.run_exn ~options:shared p (edge_keys ~n:1_048_576)))
+      done)
+    edge_paradigms
+    [
+      "2b96ba7e39b96910ede4d182b9dd7ac4";
+      "1f8e6dd0d43e371b210b0039c1852f62";
+      "1ed4362f555be855f6677ece2da8ebee";
+      "c7cb1dcdda49f76b972b004faf247341";
+    ];
+  E.compile_cache_clear ()
+
+(* Two domains released together run one shared program from a cold
+   compile cache: one compiles, the other waits for it, and both fill and
+   read the one plan store. *)
+let test_two_domains_share_a_cold_program () =
+  let shared = { E.default_options with share_compile = true } in
+  List.iter
+    (fun p ->
+      let name = E.paradigm_to_string p in
+      E.compile_cache_clear ();
+      let arrived = Atomic.make 0 in
+      let run () =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        report_json (E.run_exn ~options:shared p (edge_keys ~n:1_048_576))
+      in
+      let d1 = Domain.spawn run and d2 = Domain.spawn run in
+      let r1 = Domain.join d1 and r2 = Domain.join d2 in
+      let _, misses, entries = E.compile_cache_stats () in
+      Alcotest.(check (pair int int)) (name ^ ": one compile") (1, 1) (misses, entries);
+      Alcotest.(check string) (name ^ ": the two domains agree") r1 r2;
+      Alcotest.(check string) (name ^ ": shared == private")
+        (report_json (E.run_exn p (edge_keys ~n:1_048_576)))
+        r1)
+    edge_paradigms;
+  E.compile_cache_clear ()
+
+(* More distinct invocation keys than a plan table holds: a host loop of
+   [plan_store_capacity + 808] iterations over a kernel whose domain reads
+   the loop variable. The shared run evicts, counts it, and still reports
+   what a private run reports. *)
+let test_plan_store_evicts_past_capacity () =
+  let iters = E.plan_store_capacity + 808 in
+  let w =
+    let open Ast in
+    let nv = Symaff.var "N" in
+    Infinity_stream.Workload.make ~name:"many_keys" ~params:[ ("N", iters) ] ~inputs:(lazy [])
+      (program ~name:"many_keys" ~params:[ "N" ]
+         ~arrays:[ array "X" Dtype.Fp32 [ nv ]; array "Y" Dtype.Fp32 [ nv ] ]
+         [
+           Host_loop
+             ( loop "a" (c 0) nv,
+               [
+                 Kernel
+                   (kernel "prefix"
+                      [ loop "i" (c 0) (i "a" +% 1) ]
+                      [ store "Y" [ i "i" ] (load "X" [ i "i" ] + fconst 1.0) ]);
+               ] );
+         ])
+  in
+  let shared = { E.default_options with share_compile = true } in
+  List.iter
+    (fun p ->
+      let name = E.paradigm_to_string p in
+      E.compile_cache_clear ();
+      let got = report_json (E.run_exn ~options:shared p w) in
+      let _, _, evictions = E.plan_store_stats () in
+      Alcotest.(check bool) (name ^ ": evictions counted") true (evictions > 0);
+      Alcotest.(check string) (name ^ ": shared == private") (report_json (E.run_exn p w)) got)
+    [ E.Base; E.In_l3 ];
+  E.compile_cache_clear ()
+
 let suite =
   [
     Alcotest.test_case "inverted durations emit in order" `Quick
@@ -580,4 +725,11 @@ let suite =
     Alcotest.test_case "compile key: constants are exact" `Quick test_compile_key_exact;
     Alcotest.test_case "compile key: rebuilt catalog programs hit" `Quick
       test_compile_key_rebuilt_catalog;
+    Alcotest.test_case "plan keys: negative and wide values are exact" `Quick
+      test_plan_keys_exact_at_edges;
+    Alcotest.test_case "plan store: two domains share a cold program" `Quick
+      test_two_domains_share_a_cold_program;
+    Alcotest.test_case "plan store: evicts past its capacity" `Quick
+      test_plan_store_evicts_past_capacity;
+    Alcotest.test_case "ccache: colliding hashes stay exact" `Quick test_ccache_colliding_hashes;
   ]

@@ -191,9 +191,13 @@ let test_memoization () =
     | Error e -> Alcotest.fail e
   in
   let env = function "N" -> 4096 | _ -> 0 in
-  let memo = Jit.memo_create () and store = Ccache.create () in
-  let _, s1 = Jit.lower_memo memo ~store ~key:"k" cfg g ~schedule ~layout ~env in
-  let _, s2 = Jit.lower_memo memo ~store ~key:"k" cfg g ~schedule ~layout ~env in
+  let memo = Jit.memo_create ~regions:1 and store = Jit.store_create () in
+  let sg = Jit.signature ~region:0 ~live:[||] [||] in
+  let lower () =
+    Jit.lower_memo memo ~store ~kernel:"k" sg cfg g ~schedule ~layout ~layout_str:"l" ~env
+  in
+  let _, s1 = lower () in
+  let _, s2 = lower () in
   Alcotest.(check bool) "first is a miss" false s1.Jit.memoized;
   Alcotest.(check bool) "second is a hit" true s2.Jit.memoized;
   Alcotest.(check bool) "hit is much cheaper" true
