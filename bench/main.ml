@@ -983,82 +983,24 @@ let smoke () =
   sim_rate_section ();
   overhead_checks ()
 
-let () =
+let main trace_file json_file prof_file meta_commit meta_time jobs fault_spec suite tuned =
   print_endline "infinity stream - benchmark harness (ASPLOS'23 evaluation)";
   print_newline ();
-  let argv = Array.to_list Sys.argv in
-  let trace_file =
-    let rec find = function
-      | "--trace" :: f :: _ -> Some f
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
-  let json_file =
-    let rec find = function
-      | "--json" :: f :: _ -> Some f
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
-  let prof_file =
-    let rec find = function
-      | "--prof" :: f :: _ -> Some f
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
   let meta =
-    let rec find flag = function
-      | f :: v :: _ when f = flag -> Some v
-      | _ :: rest -> find flag rest
-      | [] -> None
-    in
     List.filter_map
-      (fun (k, flag) ->
-        Option.map (fun v -> (k, v)) (find flag argv))
-      [ ("commit", "--meta-commit"); ("timestamp", "--meta-time") ]
+      (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+      [ ("commit", meta_commit); ("timestamp", meta_time) ]
   in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> int_of_string_opt n
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find argv with
-    | Some n -> max 1 n
-    | None -> Pool.recommended_jobs ()
-  in
-  let fault_spec =
-    let rec find = function
-      | "--faults" :: s :: _ -> (
-        match Fault.parse s with
-        | Ok sp -> Some sp
-        | Error e ->
-          prerr_endline ("error: --faults: " ^ e);
-          exit 2)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
+  let jobs = max 1 jobs in
   bench_jobs := jobs;
   let t0 = Unix.gettimeofday () in
   Option.iter trace_demo trace_file;
   Option.iter prof_demo prof_file;
-  let suite =
-    if List.mem "--attn-sweep" argv then "attn-sweep"
-    else if List.mem "--smoke" argv then "smoke"
-    else "full"
-  in
   (match suite with
   | "attn-sweep" -> attn_sweep ()
   | "smoke" -> smoke ()
   | _ -> full ());
-  if List.mem "--tuned" argv then begin
+  if tuned then begin
     let micro n =
       [
         ("vec_add", Infs_workloads.Micro.vec_add ~n);
@@ -1090,3 +1032,42 @@ let () =
     hits misses entries
     (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
   print_endline "done."
+
+let () =
+  let open Cmdliner in
+  let string_opt docv name doc = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc) in
+  let file = string_opt "FILE" and meta = string_opt "TEXT" in
+  let faults_conv =
+    let parse s = Result.map_error (fun e -> `Msg e) (Fault.parse s) in
+    Arg.conv (parse, fun ppf sp -> Format.pp_print_string ppf (Fault.to_string sp))
+  in
+  let term =
+    Term.(
+      const main
+      $ file "trace" "run a small stencil2d workload with a JSONL event trace to $(docv)"
+      $ file "json" "dump every simulated cycle count as infs-bench-1 JSON to $(docv)"
+      $ file "prof" "profile a small stencil2d run and write its span report to $(docv)"
+      $ meta "meta-commit" "commit provenance stamped into the --json dump"
+      $ meta "meta-time" "timestamp provenance stamped into the --json dump"
+      $ Arg.(
+          value
+          & opt int (Pool.recommended_jobs ())
+          & info [ "jobs" ] ~docv:"N"
+              ~doc:"worker domains (default: the machine's recommended domain count)")
+      $ Arg.(
+          value
+          & opt (some faults_conv) None
+          & info [ "faults" ] ~docv:"SPEC"
+              ~doc:"add the fault-injection table for this seeded fault spec")
+      $ Arg.(
+          value
+          & vflag "full"
+              [
+                ("smoke", info [ "smoke" ] ~doc:"the test-scale subset instead of the full suite");
+                ("attn-sweep", info [ "attn-sweep" ] ~doc:"the attention sequence-length sweep");
+              ])
+      $ Arg.(value & flag & info [ "tuned" ] ~doc:"add the autotuned entries (tag tuned)"))
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "main" ~doc:"regenerate the paper's evaluation on the simulator") term))

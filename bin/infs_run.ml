@@ -139,6 +139,18 @@ let faults_arg =
            retry budget before paradigm fallback). Identical specs give \
            byte-identical reports at any --jobs count.")
 
+(* batch, tune and serve: worker domains, at least one *)
+let jobs_arg =
+  Term.(
+    const (max 1)
+    $ Arg.(
+        value
+        & opt int (Pool.recommended_jobs ())
+        & info [ "j"; "jobs" ]
+            ~doc:
+              "worker domains (default: the machine's recommended domain \
+               count); reports are byte-identical at any value"))
+
 let list_cmd =
   let run scale = List.iter print_endline (Cat.names scale) in
   Cmd.v (Cmd.info "list" ~doc:"list available workloads (sorted)")
@@ -474,7 +486,6 @@ let batch_cmd =
           prerr_endline ("error: cannot open output file: " ^ e);
           exit 1)
     in
-    let jobs = match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs () in
     let t0 = Unix.gettimeofday () in
     let pool = Pool.create ~jobs () in
     let failures = ref 0 in
@@ -542,7 +553,7 @@ let batch_cmd =
     if oc != stdout then close_out oc;
     (* pool utilization goes to the side file, never into report lines:
        wall-clock quantities would break the byte-identical-across---jobs
-       guarantee. Pool.stats is exact here — shutdown joined the workers. *)
+       guarantee. The figures are exact here — shutdown joined the workers. *)
     Option.iter
       (fun f ->
         let m = Metrics.create () in
@@ -582,13 +593,6 @@ let batch_cmd =
         (if !failures = 1 then "" else "s");
       exit 1
     end
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ]
-          ~doc:"worker domains (default: the machine's recommended domain count)")
   in
   let spec_arg =
     Arg.(
@@ -698,9 +702,6 @@ let tune_cmd =
           prerr_endline ("error: cannot open output file: " ^ e);
           exit 1)
     in
-    let jobs =
-      match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs ()
-    in
     let failures = ref 0 in
     List.iter
       (fun name ->
@@ -761,15 +762,6 @@ let tune_cmd =
       & info [ "budget" ] ~docv:"N"
           ~doc:"max scoring runs per workload (candidate enumeration plus \
                 per-kernel refinement share the budget)")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ]
-          ~doc:"worker domains for the scoring fan-out (default: the \
-                machine's recommended domain count); the report is \
-                byte-identical at any value")
   in
   let out_arg =
     Arg.(
@@ -985,9 +977,7 @@ let serve_cmd =
                Sys.executable_name; "serve"; "--socket"; sock; "--queue-depth";
                string_of_int queue_depth; "--scale"; scale_s;
              ]
-            @ (match jobs with
-              | Some j -> [ "--jobs"; string_of_int j ]
-              | None -> [])
+            @ [ "--jobs"; string_of_int jobs ]
             @ (match timeout_s with
               | Some ts -> [ "--timeout-s"; Printf.sprintf "%g" ts ]
               | None -> [])
@@ -1039,9 +1029,6 @@ let serve_cmd =
         end
       end
       else begin
-        let jobs =
-          match jobs with Some j -> max 1 j | None -> Pool.recommended_jobs ()
-        in
         let t = or_exit (Serve.start cfg (Serve.local ~jobs (Spec.handler scale ~faults))) in
         on_signals (fun () -> Serve.request_stop t);
         listening (Printf.sprintf "%d worker%s" jobs (if jobs = 1 then "" else "s"));
@@ -1156,13 +1143,6 @@ let serve_cmd =
       value & flag
       & info [ "client" ]
           ~doc:"run the load generator against --socket instead of serving")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ]
-          ~doc:"worker domains (default: the machine's recommended domain count)")
   in
   let queue_arg =
     Arg.(

@@ -1,11 +1,12 @@
-(* Domain-based worker pool with a sharded Mutex/Condition work queue.
+(* Domain-based worker pool over one FIFO queue under one Mutex/Condition.
 
-   One shard per worker keeps dequeue contention local; idle workers steal
-   from sibling shards. Wakeups use a generation counter: every submit
-   bumps [gen] before publishing the job, and a worker that found every
-   shard empty re-checks [gen] under its own shard lock before blocking —
-   if a job arrived anywhere in between, it rescans instead of sleeping, so
-   no wakeup can be lost.
+   Workers pop under the lock and park on the condition while the queue is
+   empty; [submit] pushes and signals under the lock; [shutdown] sets the
+   stopped flag and cancels every queued job under the same lock. One lock
+   orders a submit against a shutdown: the submit lands first (the job
+   then runs or is cancelled) or it sees the flag and raises. A queue
+   operation holds the lock for well under a microsecond and a job runs
+   for a millisecond or more, so the one lock does not contend.
 
    Timeouts are enforced by a lazily spawned ticker domain that pokes armed
    jobs every couple of milliseconds: a running job past its deadline has
@@ -14,7 +15,8 @@
    result is discarded under the cell lock. While no armed timeout exists
    the ticker parks on [wcv] instead of sleeping in a loop, so a resident
    process (e.g. the serve front end) does not spin a domain at 500 Hz
-   forever after its first deadline-bearing job. *)
+   forever after its first deadline-bearing job. OCaml 5.1's [Condition]
+   has no timed wait, so the ticker needs its own domain. *)
 
 type error = Failed of string | Timed_out | Cancelled | Degraded of string
 
@@ -44,12 +46,6 @@ type 'a ticket = 'a cell
    between submission and a worker starting the job. *)
 type job = Job : 'a cell * (unit -> 'a) * float -> job
 
-type shard = {
-  sm : Mutex.t;
-  scv : Condition.t;
-  queue : job Queue.t; (* guarded by [sm] *)
-}
-
 (* Written only by the owning worker domain; reading after [shutdown] is
    race-free (Domain.join gives the happens-before edge), reads from a live
    pool are advisory. *)
@@ -59,21 +55,18 @@ type worker_stats = {
   mutable wait_s : float; (* summed queue wait of the jobs this worker ran *)
 }
 
-type stats = { wall_s : float; workers : (int * float) array }
-
 type t = {
-  shards : shard array;
-  mutable domains : unit Domain.t list; (* guarded by [glock] *)
-  mutable ticker : unit Domain.t option; (* guarded by [glock] *)
-  glock : Mutex.t;
-  stopped : bool Atomic.t;
-  gen : int Atomic.t; (* bumped on every submit: lost-wakeup guard *)
-  rr : int Atomic.t; (* round-robin submission cursor *)
+  qm : Mutex.t;
+  qcv : Condition.t; (* signalled on a push, broadcast at shutdown *)
+  queue : job Queue.t; (* guarded by [qm] *)
+  stopped : bool Atomic.t; (* set under [qm]; the ticker reads it bare *)
+  mutable domains : unit Domain.t list; (* set once, by [create] *)
   wm : Mutex.t;
   wcv : Condition.t; (* signalled when a watcher is added or at shutdown *)
-  mutable watchers : (unit -> bool) list; (* true = expired, drop it *)
+  mutable watchers : (unit -> bool) list; (* guarded by [wm]; true = expired, drop it *)
+  mutable ticker : unit Domain.t option; (* guarded by [wm] *)
   ticks : int Atomic.t; (* ticker iterations with >= 1 armed timeout *)
-  subs : int Atomic.t; (* submissions so far: per-job retry-jitter seeds *)
+  subs : int Atomic.t; (* retrying submissions so far: their jitter seeds *)
   wstats : worker_stats array; (* one slot per worker, worker-owned *)
   created_at : float;
 }
@@ -85,51 +78,36 @@ let now () = Clock.now ()
 
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
-let jobs t = Array.length t.shards
-
 (* ---- worker side ---- *)
 
+(* The one exception mapping, on a worker and in an inline [run_list]. *)
+let run_job f =
+  try Ok (f ()) with
+  | Degradation msg -> Error (Degraded msg)
+  | e -> Error (Failed (Printexc.to_string e))
+
 let exec (Job (cell, f, _)) =
-  let skip =
-    Mutex.protect cell.m (fun () ->
-        match cell.result with
-        | Some _ -> true (* cancelled before start *)
-        | None ->
-          cell.started_at <- Some (now ());
-          false)
-  in
-  if not skip then begin
-    let r =
-      try Ok (f ())
-      with
-      | Degradation msg -> Error (Degraded msg)
-      | e -> Error (Failed (Printexc.to_string e))
-    in
-    Mutex.protect cell.m (fun () ->
-        match cell.result with
-        | Some _ -> () (* timed out while running: discard the late result *)
-        | None ->
-          cell.result <- Some r;
-          Condition.broadcast cell.cv)
-  end
+  Mutex.protect cell.m (fun () -> cell.started_at <- Some (now ()));
+  let r = run_job f in
+  Mutex.protect cell.m (fun () ->
+      (* a job that timed out while running keeps its [Timed_out] *)
+      if Option.is_none cell.result then begin
+        cell.result <- Some r;
+        Condition.broadcast cell.cv
+      end)
 
-let try_pop (sh : shard) =
-  Mutex.protect sh.sm (fun () -> Queue.take_opt sh.queue)
-
-(* own shard first, then siblings left-to-right from our index *)
-let steal t k =
-  let n = Array.length t.shards in
-  let rec go i =
-    if i >= n then None
-    else
-      match try_pop t.shards.((k + i) mod n) with
-      | Some j -> Some j
-      | None -> go (i + 1)
-  in
-  go 0
+(* Pop the next job, parking while the queue is empty; [None] once the
+   pool is stopped (shutdown has emptied the queue by then). *)
+let next t =
+  Mutex.protect t.qm (fun () ->
+      while Queue.is_empty t.queue && not (Atomic.get t.stopped) do
+        Condition.wait t.qcv t.qm
+      done;
+      Queue.take_opt t.queue)
 
 let rec worker t k =
-  match steal t k with
+  match next t with
+  | None -> ()
   | Some (Job (_, _, submitted_at) as job) ->
     let t0 = now () in
     exec job;
@@ -138,20 +116,6 @@ let rec worker t k =
     ws.wait_s <- ws.wait_s +. Float.max 0.0 (t0 -. submitted_at);
     ws.jobs_run <- ws.jobs_run + 1;
     worker t k
-  | None ->
-    if not (Atomic.get t.stopped) then begin
-      let sh = t.shards.(k) in
-      let gen0 = Atomic.get t.gen in
-      Mutex.lock sh.sm;
-      (* block only if no submit landed since our (empty) scan began *)
-      if
-        (not (Atomic.get t.stopped))
-        && Atomic.get t.gen = gen0
-        && Queue.is_empty sh.queue
-      then Condition.wait sh.scv sh.sm;
-      Mutex.unlock sh.sm;
-      worker t k
-    end
 
 (* ---- ticker (timeout enforcement) ---- *)
 
@@ -188,13 +152,16 @@ let rec ticker_loop t =
     ticker_loop t
   end
 
-let ensure_ticker t =
-  Mutex.protect t.glock (fun () ->
-      match t.ticker with
-      | Some _ -> ()
-      | None ->
-        if not (Atomic.get t.stopped) then
-          t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t)))
+(* Watch [cell]'s deadline. The ticker is spawned under [wm] and never
+   once the pool is stopped: [shutdown] reads [ticker] under [wm] after
+   setting the flag, so a submit racing it cannot leave a ticker domain
+   that nothing joins. *)
+let arm t cell =
+  Mutex.protect t.wm (fun () ->
+      t.watchers <- poke_cell cell :: t.watchers;
+      Condition.signal t.wcv;
+      if Option.is_none t.ticker && not (Atomic.get t.stopped) then
+        t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t)))
 
 (* ---- pool lifecycle ---- *)
 
@@ -204,18 +171,15 @@ let create ?jobs () =
   in
   let t =
     {
-      shards =
-        Array.init n (fun _ ->
-            { sm = Mutex.create (); scv = Condition.create (); queue = Queue.create () });
-      domains = [];
-      ticker = None;
-      glock = Mutex.create ();
+      qm = Mutex.create ();
+      qcv = Condition.create ();
+      queue = Queue.create ();
       stopped = Atomic.make false;
-      gen = Atomic.make 0;
-      rr = Atomic.make 0;
+      domains = [];
       wm = Mutex.create ();
       wcv = Condition.create ();
       watchers = [];
+      ticker = None;
       ticks = Atomic.make 0;
       subs = Atomic.make 0;
       wstats =
@@ -226,59 +190,46 @@ let create ?jobs () =
   t.domains <- List.init n (fun k -> Domain.spawn (fun () -> worker t k));
   t
 
-let drain_cancelled (sh : shard) =
-  let pending = Mutex.protect sh.sm (fun () ->
-      let js = List.of_seq (Queue.to_seq sh.queue) in
-      Queue.clear sh.queue;
-      js)
-  in
-  List.iter
-    (fun (Job (cell, _, _)) ->
-      Mutex.protect cell.m (fun () ->
-          if cell.result = None then begin
-            cell.result <- Some (Error Cancelled);
-            Condition.broadcast cell.cv
-          end))
-    pending
+let cancel_queued (Job (cell, _, _)) =
+  Mutex.protect cell.m (fun () ->
+      cell.result <- Some (Error Cancelled);
+      Condition.broadcast cell.cv)
 
 let shutdown t =
-  let first = not (Atomic.exchange t.stopped true) in
+  let first =
+    Mutex.protect t.qm (fun () ->
+        if Atomic.get t.stopped then false
+        else begin
+          Atomic.set t.stopped true;
+          Queue.iter cancel_queued t.queue;
+          Queue.clear t.queue;
+          Condition.broadcast t.qcv;
+          true
+        end)
+  in
   if first then begin
     (* wake a parked ticker so it can observe [stopped] and exit *)
-    Mutex.protect t.wm (fun () -> Condition.broadcast t.wcv);
-    Array.iter drain_cancelled t.shards;
-    Array.iter
-      (fun sh -> Mutex.protect sh.sm (fun () -> Condition.broadcast sh.scv))
-      t.shards;
-    let ds, tick =
-      Mutex.protect t.glock (fun () ->
-          let r = (t.domains, t.ticker) in
-          t.domains <- [];
-          t.ticker <- None;
-          r)
+    let ticker =
+      Mutex.protect t.wm (fun () ->
+          Condition.broadcast t.wcv;
+          t.ticker)
     in
-    List.iter Domain.join ds;
-    Option.iter Domain.join tick
+    List.iter Domain.join t.domains;
+    Option.iter Domain.join ticker
   end
-
-let stats t =
-  {
-    wall_s = now () -. t.created_at;
-    workers = Array.map (fun ws -> (ws.jobs_run, ws.busy_s)) t.wstats;
-  }
 
 let ticker_ticks t = Atomic.get t.ticks
 
 let metrics_into t m =
-  let st = stats t in
-  Metrics.gauge_add m "pool.wall_s" st.wall_s;
+  let wall_s = now () -. t.created_at in
+  Metrics.gauge_add m "pool.wall_s" wall_s;
   Array.iteri
-    (fun i (jobs_run, busy_s) ->
+    (fun i ws ->
       let labels = [ ("worker", string_of_int i) ] in
-      Metrics.incr m ~labels "pool.worker.jobs" (float_of_int jobs_run);
-      Metrics.gauge_add m ~labels "pool.worker.busy_s" busy_s;
-      Metrics.gauge_add m ~labels "pool.worker.busy_frac" (busy_s /. Float.max 1e-9 st.wall_s))
-    st.workers
+      Metrics.incr m ~labels "pool.worker.jobs" (float_of_int ws.jobs_run);
+      Metrics.gauge_add m ~labels "pool.worker.busy_s" ws.busy_s;
+      Metrics.gauge_add m ~labels "pool.worker.busy_frac" (ws.busy_s /. Float.max 1e-9 wall_s))
+    t.wstats
 
 (* Per-worker queue-wait vs busy time as profiler rows. Worker stats are
    worker-owned plain fields, so this must only run once the domains have
@@ -304,7 +255,7 @@ let profile_into t prof =
    crashes) are, with capped full-jitter exponential backoff between
    attempts. *)
 
-let default_backoff_cap_s = 30.0
+let backoff_cap_s = 30.0
 
 (* Full jitter: attempt [k] sleeps a uniform draw from
    [0, min cap (backoff * 2^k)). The raw exponential alone is a stampede
@@ -320,28 +271,26 @@ let backoff_delay ~backoff_s ~cap_s ~attempt rng =
     let cap = Float.max 0.0 cap_s in
     Rng.float rng (Float.min cap (backoff_s *. (2.0 ** float_of_int attempt)))
 
-let with_retries ~retries ~backoff_s ~cap_s ~seed f () =
+let with_retries ~retries ~backoff_s ~seed f () =
   let rng = Rng.create seed in
   let rec go attempt =
     try f ()
     with
     | Degradation _ as e -> raise e
     | _ when attempt < retries ->
-      let d = backoff_delay ~backoff_s ~cap_s ~attempt rng in
+      let d = backoff_delay ~backoff_s ~cap_s:backoff_cap_s ~attempt rng in
       if d > 0.0 then Unix.sleepf d;
       go (attempt + 1)
   in
   go 0
 
-let submit t ?(retries = 0) ?(backoff_s = 0.0)
-    ?(backoff_cap_s = default_backoff_cap_s) ?timeout_s f =
-  if Atomic.get t.stopped then invalid_arg "Pool.submit: pool is shut down";
+let submit t ?(retries = 0) ?(backoff_s = 0.0) ?timeout_s f =
   let f =
     if retries > 0 then
       (* jitter seed = submission index: deterministic for a caller
          submitting in a fixed order, distinct across concurrent jobs *)
       let seed = Atomic.fetch_and_add t.subs 1 in
-      with_retries ~retries ~backoff_s ~cap_s:backoff_cap_s ~seed f
+      with_retries ~retries ~backoff_s ~seed f
     else f
   in
   let cell =
@@ -353,33 +302,12 @@ let submit t ?(retries = 0) ?(backoff_s = 0.0)
       timeout_s;
     }
   in
-  if timeout_s <> None then begin
-    Mutex.protect t.wm (fun () ->
-        t.watchers <- poke_cell cell :: t.watchers;
-        Condition.signal t.wcv);
-    ensure_ticker t
-  end;
-  let n = Array.length t.shards in
-  let k = Atomic.fetch_and_add t.rr 1 mod n in
-  Atomic.incr t.gen; (* publish intent before the job becomes visible *)
-  let sh = t.shards.(k) in
-  Mutex.protect sh.sm (fun () -> Queue.push (Job (cell, f, now ())) sh.queue);
-  (* a shutdown that raced us may already have drained the queues *)
-  if Atomic.get t.stopped then drain_cancelled sh;
-  (* wake the home worker, and every sibling that might be idle-stealing *)
-  Array.iter
-    (fun sh -> Mutex.protect sh.sm (fun () -> Condition.signal sh.scv))
-    t.shards;
+  Mutex.protect t.qm (fun () ->
+      if Atomic.get t.stopped then invalid_arg "Pool.submit: pool is shut down";
+      Queue.push (Job (cell, f, now ())) t.queue;
+      Condition.signal t.qcv);
+  if Option.is_some timeout_s then arm t cell;
   cell
-
-let cancel (cell : _ ticket) =
-  Mutex.protect cell.m (fun () ->
-      match (cell.result, cell.started_at) with
-      | None, None ->
-        cell.result <- Some (Error Cancelled);
-        Condition.broadcast cell.cv;
-        true
-      | _ -> false)
 
 let await (cell : _ ticket) =
   Mutex.lock cell.m;
@@ -394,10 +322,10 @@ let await (cell : _ ticket) =
   Mutex.unlock cell.m;
   r
 
-let run_list ?jobs ?retries ?backoff_s ?backoff_cap_s ?timeout_s fs =
-  let t = create ?jobs () in
-  Fun.protect
-    ~finally:(fun () -> shutdown t)
-    (fun () ->
-      List.map (submit t ?retries ?backoff_s ?backoff_cap_s ?timeout_s) fs
-      |> List.map await)
+let run_list ~jobs fs =
+  if jobs <= 1 then List.map run_job fs
+  else
+    let t = create ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> shutdown t)
+      (fun () -> List.map (fun f -> submit t f) fs |> List.map await)

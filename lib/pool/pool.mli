@@ -1,9 +1,10 @@
 (** Fixed-size multicore batch-execution pool ([infs_pool]).
 
-    A pool owns a fixed set of OCaml 5 domains draining a {e sharded} work
-    queue (one shard per worker, plain [Mutex]/[Condition], no external
-    scheduler dependency). Idle workers steal from sibling shards, so a
-    long-running job on one worker never strands jobs queued behind it.
+    A pool owns a fixed set of OCaml 5 domains draining one FIFO work
+    queue under one [Mutex] and one [Condition] (no external scheduler
+    dependency). Jobs start in submission order; a long-running job on one
+    worker never strands the jobs queued behind it, since every idle
+    worker pops from the same queue.
 
     Guarantees:
 
@@ -14,20 +15,22 @@
       has its outcome forced to [Error Timed_out] and waiters are released;
       the job's domain keeps running to completion in the background (OCaml
       domains cannot be preempted) but its late result is discarded.
-    - {b Cancellation} — [cancel] removes a not-yet-started job from the
-      queue ([Error Cancelled]); jobs already running are not interrupted.
+    - {b Submit versus shutdown} — one lock orders them: a submit either
+      lands first, and the shutdown then runs it or completes it as
+      [Error Cancelled], or it raises [Invalid_argument]. Every ticket
+      {!submit} returns resolves.
     - {b Deterministic result ordering} — [run_list] returns results in
       submission order regardless of completion order, so parallel output
       is byte-identical to a sequential run.
 
     The simulator itself stays single-threaded per job; parallelism is
-    across independent (workload, paradigm, options) engine runs, which PR
-    1's golden traces pinned as deterministic. *)
+    across independent (workload, paradigm, options) engine runs, which
+    the golden traces pin as deterministic. *)
 
 type error =
   | Failed of string  (** the job raised; carries [Printexc.to_string] *)
   | Timed_out  (** exceeded its wall-clock budget while running *)
-  | Cancelled  (** cancelled before a worker picked it up *)
+  | Cancelled  (** still queued when the pool was shut down *)
   | Degraded of string
       (** the job raised {!Degradation}: a structured, deterministic "the
           result is degraded" outcome rather than a crash. Never retried. *)
@@ -52,10 +55,8 @@ val recommended_jobs : unit -> int
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs] worker domains (default
-    {!recommended_jobs}). [jobs] is clamped to at least 1. *)
-
-val jobs : t -> int
-(** Number of worker domains. *)
+    {!recommended_jobs}). [jobs] is clamped to at least 1: even one job
+    gets its own worker domain, so {!submit} never blocks its caller. *)
 
 val shutdown : t -> unit
 (** Drain nothing: wake every worker, wait for jobs already {e running} to
@@ -63,22 +64,12 @@ val shutdown : t -> unit
     completed as [Error Cancelled]. Idempotent. Submitting to a shut-down
     pool raises [Invalid_argument]. *)
 
-type stats = {
-  wall_s : float;  (** seconds since the pool was created *)
-  workers : (int * float) array;
-      (** per worker: (jobs run, busy seconds inside jobs) *)
-}
-
-val stats : t -> stats
-(** Worker utilization counters. Exact once the pool is {!shutdown} (the
-    join publishes the workers' writes); on a live pool the values are
-    advisory. Busy-fraction per worker is [busy_s /. wall_s]. *)
-
 val metrics_into : t -> Metrics.t -> unit
-(** Record {!stats} into a metrics registry: the [pool.wall_s] gauge and,
-    per worker (label [worker]), the [pool.worker.jobs] counter and the
-    [pool.worker.busy_s] / [pool.worker.busy_frac] gauges. Call after
-    {!shutdown}, when the figures are exact. *)
+(** Record worker utilization into a metrics registry: the [pool.wall_s]
+    gauge (seconds since {!create}) and, per worker (label [worker]), the
+    [pool.worker.jobs] counter and the [pool.worker.busy_s] /
+    [pool.worker.busy_frac] gauges. Call after {!shutdown}, when the
+    figures are exact (the join publishes the workers' writes). *)
 
 val profile_into : t -> Prof.t -> unit
 (** Record per-worker utilization into a profiler registry: for each
@@ -99,9 +90,6 @@ val ticker_ticks : t -> int
 type 'a ticket
 (** A handle for one submitted job. *)
 
-val default_backoff_cap_s : float
-(** Default [backoff_cap_s] for {!submit}: 30 s. *)
-
 val backoff_delay : backoff_s:float -> cap_s:float -> attempt:int -> Rng.t -> float
 (** The retry schedule: a {e full-jitter} capped exponential — a uniform
     draw from [\[0, min cap_s (backoff_s *. 2.{^attempt}))], 0 when
@@ -114,18 +102,16 @@ val submit :
   t ->
   ?retries:int ->
   ?backoff_s:float ->
-  ?backoff_cap_s:float ->
   ?timeout_s:float ->
   (unit -> 'a) ->
   'a ticket
-(** Enqueue a job on the least-loaded shard. [timeout_s] is the wall-clock
-    budget measured from the moment a worker starts the job.
+(** Append a job to the queue. [timeout_s] is the wall-clock budget
+    measured from the moment a worker starts the job.
 
     [retries] (default 0) re-runs the job inside the {e same} worker slot
     when it raises an ordinary exception, up to [retries] extra attempts,
     sleeping a {!backoff_delay} draw between attempts — a uniform-jitter
-    exponential capped at [backoff_cap_s] (default
-    {!default_backoff_cap_s}), so concurrent retriers of a common
+    exponential capped at 30 s, so concurrent retriers of a common
     transient failure do not wake in lockstep and re-stampede. The jitter
     stream is seeded by submission index, so a job's schedule is
     reproducible and independent of pool scheduling. [backoff_s = 0.0]
@@ -133,25 +119,15 @@ val submit :
     it is a deterministic structured outcome, not a transient crash. The
     whole retry sequence shares one [timeout_s] budget. *)
 
-val cancel : 'a ticket -> bool
-(** [cancel tk] is [true] iff the job had not started and is now marked
-    [Cancelled] (the worker will skip it). Running or finished jobs return
-    [false]. *)
-
 val await : 'a ticket -> 'a outcome
 (** Block until the job's outcome is known (completion, timeout firing, or
-    cancellation). Safe to call from any domain; repeated calls return the
-    same outcome. *)
+    cancellation at shutdown). Safe to call from any domain; repeated
+    calls return the same outcome. *)
 
-val run_list :
-  ?jobs:int ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?backoff_cap_s:float ->
-  ?timeout_s:float ->
-  (unit -> 'a) list ->
-  'a outcome list
-(** [run_list fs] runs every thunk on a fresh pool and returns outcomes in
-    submission order. The pool is shut down before returning. With
-    [~jobs:1] this is sequential execution with the same API.
-    [retries]/[backoff_s] apply per job as in {!submit}. *)
+val run_list : jobs:int -> (unit -> 'a) list -> 'a outcome list
+(** [run_list ~jobs fs] runs every thunk and returns outcomes in
+    submission order. With [jobs <= 1] the thunks run in order on the
+    calling domain; otherwise on a fresh pool of [jobs] domains, shut down
+    before returning. Either way a raise becomes [Error (Failed _)] and
+    {!Degradation} [Error (Degraded _)], through the same mapping a worker
+    applies. *)

@@ -141,19 +141,11 @@ let score program base resolve c =
   | Ok r -> (c, Some (r.Report.cycles, overridable_kernels r))
   | Error _ -> (c, None)
 
-(* At one job the batch is scored on the calling domain: a pool would
-   spawn and join a domain per batch for nothing. Either way a score that
-   raises is dropped. *)
+(* A score that raises is dropped. *)
 let score_batch ~jobs program base resolve cands =
-  let keep = function c, Some (cycles, kernels) -> [ (c, cycles, kernels) ] | _, None -> [] in
-  if jobs <= 1 then
-    List.concat_map
-      (fun c -> match score program base resolve c with r -> keep r | exception _ -> [])
-      cands
-  else
-    List.concat_map
-      (function Ok r -> keep r | Error _ -> [])
-      (Pool.run_list ~jobs (List.map (fun c () -> score program base resolve c) cands))
+  List.concat_map
+    (function Ok (c, Some (cycles, kernels)) -> [ (c, cycles, kernels) ] | _ -> [])
+    (Pool.run_list ~jobs (List.map (fun c () -> score program base resolve c) cands))
 
 (* ---- memoization ---- *)
 

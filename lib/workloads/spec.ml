@@ -111,8 +111,10 @@ let of_json j =
           | Ok sp -> Ok (Some sp)
           | Error e -> Error ("field faults: " ^ e)))
     in
-    let paradigm =
-      Option.value ~default:"inf-s" (Option.bind (Json.member "paradigm" j) Json.to_str)
+    let* paradigm =
+      match Json.member "paradigm" j with
+      | None -> Ok "inf-s"
+      | Some v -> Option.to_result ~none:"field paradigm must be a string" (Json.to_str v)
     in
     Ok
       {

@@ -31,6 +31,7 @@ val default : string -> t
 val of_json : Json.t -> (t, string) result
 (** Decode a spec; unknown fields are ignored. Errors name the field:
     ["spec needs a \"workload\" string field"],
+    ["field paradigm must be a string"],
     ["field functional must be a boolean"],
     ["field tile must be an array of integers"], ["field tile: ..."],
     ["field timeout_s must be a finite positive number"],

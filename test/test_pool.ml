@@ -4,9 +4,11 @@
      not),
    - per-job wall-clock timeouts fire without killing the pool,
    - exception capture: a crashing job is an [Error], not a pool death,
-   - cancellation of not-yet-started jobs,
+   - a submit racing shutdown: it raises or its ticket resolves, and the
+     ticker stops with the pool,
    - a qcheck property: [run ~jobs:k] equals [run ~jobs:1] on random job
-     lists,
+     lists, failing and degraded jobs included,
+   - [run_list ~jobs:1] runs its thunks in order on the calling domain,
    - the content-addressed cache (Ccache) under concurrent access, and
      its bound (reset when full, evictions counted),
    - engine domain-safety: concurrent engine runs (including functional
@@ -124,37 +126,120 @@ let test_exception_capture () =
     Alcotest.(check bool) "Not_found captured" true (contains m2 "Not_found")
   | _ -> Alcotest.fail "crashing jobs must not affect their neighbours"
 
-let test_cancellation () =
-  let pool = Pool.create ~jobs:1 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let gate = Atomic.make false in
-      let blocker =
-        Pool.submit pool (fun () ->
-            while not (Atomic.get gate) do
-              Unix.sleepf 0.001
-            done)
-      in
-      let doomed = Pool.submit pool (fun () -> 7) in
-      Alcotest.(check bool) "queued job cancels" true (Pool.cancel doomed);
-      Alcotest.(check bool) "second cancel is a no-op" false (Pool.cancel doomed);
-      Atomic.set gate true;
-      (match Pool.await doomed with
-      | Error Pool.Cancelled -> ()
-      | _ -> Alcotest.fail "cancelled job must report Cancelled");
-      (match Pool.await blocker with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Pool.error_to_string e));
-      Alcotest.(check bool) "finished job does not cancel" false
-        (Pool.cancel blocker))
+(* One domain submits as fast as it can, every third job with a deadline,
+   while another shuts the pool down a little later each round. Every
+   submit raises [Invalid_argument] (and so does every one after it) or
+   returns a ticket that resolves; once shutdown returns, the ticker is
+   joined and no submit racing it starts another. The awaits run on their
+   own domain, so a lost ticket fails the test instead of hanging it. *)
+let test_submit_races_shutdown () =
+  for round = 0 to 39 do
+    let pool = Pool.create ~jobs:2 () in
+    let arrived = Atomic.make 0 in
+    let go () =
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 do
+        Domain.cpu_relax ()
+      done
+    in
+    let submitter =
+      Domain.spawn (fun () ->
+          go ();
+          (* until 8 submits past the first refusal, at most 4,000 *)
+          let rec loop i refused acc =
+            if i = 4000 || refused = 8 then List.rev acc
+            else
+              let timeout_s = if i mod 3 = 0 then Some 0.001 else None in
+              match
+                Pool.submit pool ?timeout_s (fun () ->
+                    if i mod 50 = 0 then Unix.sleepf 0.002;
+                    i)
+              with
+              | tk -> loop (i + 1) refused (Some (i, timeout_s <> None, tk) :: acc)
+              | exception Invalid_argument _ -> loop (i + 1) (refused + 1) (None :: acc)
+          in
+          loop 0 0 [])
+    in
+    let stopper =
+      Domain.spawn (fun () ->
+          go ();
+          let until = Unix.gettimeofday () +. (float_of_int round *. 2e-5) in
+          while Unix.gettimeofday () < until do
+            Domain.cpu_relax ()
+          done;
+          Pool.shutdown pool;
+          Pool.ticker_ticks pool)
+    in
+    let submits = Domain.join submitter in
+    let ticks = Domain.join stopper in
+    let landed = List.filter_map Fun.id submits in
+    Alcotest.(check bool) "a refused submit stays refused" true
+      (List.filteri (fun i _ -> i < List.length landed) submits
+      |> List.for_all Option.is_some);
+    let resolved = Atomic.make 0 in
+    let awaiter =
+      Domain.spawn (fun () ->
+          List.map
+            (fun (i, armed, tk) ->
+              let r = Pool.await tk in
+              Atomic.incr resolved;
+              (i, armed, r))
+            landed)
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get resolved < List.length landed && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    if Atomic.get resolved < List.length landed then
+      Alcotest.failf "round %d: %d of %d tickets never resolved" round
+        (List.length landed - Atomic.get resolved)
+        (List.length landed);
+    List.iter
+      (fun (i, armed, r) ->
+        match r with
+        | Ok v -> Alcotest.(check int) "a job's own value" i v
+        | Error Pool.Cancelled -> ()
+        | Error Pool.Timed_out when armed -> ()
+        | Error e -> Alcotest.fail (Pool.error_to_string e))
+      (Domain.join awaiter);
+    Unix.sleepf 0.005;
+    Alcotest.(check int) "no ticks after shutdown" ticks (Pool.ticker_ticks pool)
+  done
 
+(* Some jobs fail and some degrade: the inline run and the pooled run map
+   them to the same outcomes, messages included. *)
 let prop_parallel_equals_sequential =
   QCheck.Test.make ~name:"run ~jobs:k equals run ~jobs:1" ~count:30
     QCheck.(pair (int_range 2 4) (small_list small_int))
     (fun (k, xs) ->
-      let jobs = List.map (fun x () -> (x * 31) lxor (x lsr 2)) xs in
+      let jobs =
+        List.map
+          (fun x () ->
+            match x mod 5 with
+            | 3 -> failwith (Printf.sprintf "job %d failed" x)
+            | 4 -> raise (Pool.Degradation (Printf.sprintf "job %d degraded" x))
+            | _ -> (x * 31) lxor (x lsr 2))
+          xs
+      in
       Pool.run_list ~jobs:1 jobs = Pool.run_list ~jobs:k jobs)
+
+(* The thunks run in order on the calling domain, and a raise is mapped
+   to an outcome without stopping the thunks after it. *)
+let test_run_list_inline () =
+  let self = Domain.self () in
+  let order = ref [] in
+  let got =
+    Pool.run_list ~jobs:1
+      (List.init 5 (fun i () ->
+           order := i :: !order;
+           if i = 2 then failwith "two";
+           Domain.self () = self))
+  in
+  Alcotest.(check (list int)) "in order" [ 0; 1; 2; 3; 4 ] (List.rev !order);
+  match got with
+  | [ Ok true; Ok true; Error (Pool.Failed m); Ok true; Ok true ] ->
+    Alcotest.(check string) "the worker's mapping" (Printexc.to_string (Failure "two")) m
+  | _ -> Alcotest.fail "expected every thunk on the calling domain, the third failed"
 
 (* ---- retry backoff: capped full jitter ---- *)
 
@@ -205,22 +290,24 @@ let test_backoff_zero_disabled () =
     (Pool.backoff_delay ~backoff_s:(-1.0) ~cap_s:30.0 ~attempt:5 rng)
 
 let test_retries_with_capped_backoff () =
-  (* end to end: a twice-failing job succeeds on the third attempt with a
-     tight cap, and the whole schedule stays fast *)
+  (* end to end: a twice-failing job succeeds on the third attempt, and
+     the whole jittered schedule stays fast *)
   let t0 = Unix.gettimeofday () in
   let tries = Atomic.make 0 in
-  let results =
-    Pool.run_list ~jobs:1 ~retries:4 ~backoff_s:0.005 ~backoff_cap_s:0.02
-      [
-        (fun () ->
-          if Atomic.fetch_and_add tries 1 < 2 then failwith "transient";
-          "ok");
-      ]
+  let pool = Pool.create ~jobs:1 () in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Pool.await
+          (Pool.submit pool ~retries:4 ~backoff_s:0.005 (fun () ->
+               if Atomic.fetch_and_add tries 1 < 2 then failwith "transient";
+               "ok")))
   in
-  (match results with
-  | [ Ok "ok" ] -> ()
-  | [ Error e ] -> Alcotest.fail (Pool.error_to_string e)
-  | _ -> Alcotest.fail "expected one outcome");
+  (match outcome with
+  | Ok "ok" -> ()
+  | Ok s -> Alcotest.failf "unexpected result %S" s
+  | Error e -> Alcotest.fail (Pool.error_to_string e));
   Alcotest.(check int) "third attempt succeeded" 3 (Atomic.get tries);
   Alcotest.(check bool) "capped schedule completes quickly" true
     (Unix.gettimeofday () -. t0 < 2.0)
@@ -694,7 +781,8 @@ let suite =
     Alcotest.test_case "ticker parks when idle" `Quick test_ticker_parks_when_idle;
     Alcotest.test_case "exceptions are captured per job" `Quick
       test_exception_capture;
-    Alcotest.test_case "cancellation" `Quick test_cancellation;
+    Alcotest.test_case "submit racing shutdown: every ticket resolves" `Quick
+      test_submit_races_shutdown;
     QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ()) prop_parallel_equals_sequential;
     Alcotest.test_case "backoff delay stays in bounds" `Quick test_backoff_bounds;
     Alcotest.test_case "backoff cap stops exponential growth" `Quick
@@ -732,4 +820,5 @@ let suite =
     Alcotest.test_case "plan store: evicts past its capacity" `Quick
       test_plan_store_evicts_past_capacity;
     Alcotest.test_case "ccache: colliding hashes stay exact" `Quick test_ccache_colliding_hashes;
+    Alcotest.test_case "run_list ~jobs:1 runs inline, in order" `Quick test_run_list_inline;
   ]

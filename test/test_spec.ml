@@ -59,6 +59,9 @@ let test_field_errors () =
   in
   err "missing workload" {|{"paradigm": "base"}|} {|spec needs a "workload" string field|};
   err "non-string workload" {|{"workload": 3}|} {|spec needs a "workload" string field|};
+  err "numeric paradigm" {|{"workload": "vec_add", "paradigm": 5}|} "field paradigm must be a string";
+  err "list paradigm" {|{"workload": "vec_add", "paradigm": ["base"]}|}
+    "field paradigm must be a string";
   List.iter
     (fun f ->
       err (f ^ " not a bool")
